@@ -37,7 +37,8 @@ let[@inline] obs (c : ctx) addr len access = Monitor.observe_access c.mon ~addr 
 
 let read_string (c : ctx) addr len =
   obs c addr len Telemetry.Event.Read;
-  Bytes.to_string (Hw.Cpu.read_bytes c.cpu addr len)
+  (* the buffer is fresh and never escapes: hand it over without a copy *)
+  Bytes.unsafe_to_string (Hw.Cpu.read_bytes c.cpu addr len)
 
 let write_string (c : ctx) addr s =
   obs c addr (String.length s) Telemetry.Event.Write;

@@ -49,7 +49,7 @@ type t = {
   virtualise : bool;  (* libmpk-style tag virtualisation (paper §8) *)
   keymux : Hw.Keymux.t option;  (* Some iff [virtualise] *)
   mutable cur : Types.cid;
-  mutable page_allocs : (int * int) list;  (* (base page, npages) per cubicle-page alloc *)
+  page_allocs : (int, int) Hashtbl.t;  (* base page -> npages per cubicle-page alloc *)
   cubicle_runs : (Types.cid, (int * int) list ref) Hashtbl.t;  (* every page run per cubicle *)
   max_cubicles : int;
 }
@@ -245,6 +245,17 @@ let handle_fault t (fault : Hw.Fault.t) =
 
 let monitor_reserved_pages = 16
 
+(* Every page [cid] owns, ascending, from its recorded runs: O(pages
+   owned), not O(machine pages). [alloc_owned_pages] is the only place
+   ownership is assigned and records each run; [release_runs] and
+   [free_pages] drop them, so the runs are exactly the ownership map. *)
+let owned_pages t cid =
+  match Hashtbl.find_opt t.cubicle_runs cid with
+  | None -> []
+  | Some runs ->
+      (* runs are disjoint, so ordering them by base orders the pages *)
+      List.concat_map (fun (page, n) -> List.init n (( + ) page)) (List.sort compare !runs)
+
 let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_policy)
     ?(virtualise = false) ~protection () =
   let cpu = Hw.Cpu.create ~mem_bytes ?ncores ?model () in
@@ -271,7 +282,7 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
       virtualise;
       keymux = (if virtualise then Some (Hw.Keymux.create cpu) else None);
       cur = monitor_cid;
-      page_allocs = [];
+      page_allocs = Hashtbl.create 64;
       cubicle_runs = Hashtbl.create 32;
       max_cubicles = 1024;
     }
@@ -280,7 +291,8 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
      monitor tag. Priced per page under the Keymux category (the same
      pkey_mprotect cost as any runtime key write, but billed to the
      virtualisation layer rather than plain Mpk), billed to whichever
-     cubicle's fault-in forced the eviction. The page-table hook fires
+     cubicle's fault-in forced the eviction. The walk covers only the
+     victim's own page runs ([owned_pages]). The page-table hook fires
      the cross-core TLB shootdowns; Keymux itself scrubs the evicted
      tag from every core's PKRU and prices those wrpkrus. *)
   (match t.keymux with
@@ -301,7 +313,7 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
                      emit t (Telemetry.Event.Retag { page; to_key = monitor_key });
                      incr count
                    end)
-                 (Mm.Page_meta.owned_by t.meta cid);
+                 (owned_pages t cid);
              !count))
   | None -> ());
   (* Monitor's own pages: present, trusted key. *)
@@ -359,7 +371,7 @@ let release_runs t cid =
             Mm.Page_meta.release t.meta ~page:p;
             Hw.Cpu.unmap_page t.m_cpu p
           done;
-          t.page_allocs <- List.filter (fun (p, _) -> p <> page) t.page_allocs;
+          Hashtbl.remove t.page_allocs page;
           Mm.Page_alloc.free t.palloc page)
         !runs;
       Hashtbl.remove t.cubicle_runs cid
@@ -618,7 +630,7 @@ let alloc_pages t cid n ~kind =
      happens before the system runs and is not charged). *)
   if mpk_on t then Hw.Cost.charge_cat (cost t) Telemetry.Attrib.Mpk (n * (cost t).model.pkey_set);
   let base = alloc_owned_pages t cid n ~kind ~perm:Hw.Page_table.perm_rw in
-  t.page_allocs <- (Hw.Addr.page_of base, n) :: t.page_allocs;
+  Hashtbl.replace t.page_allocs (Hw.Addr.page_of base) n;
   base
 
 let free_pages t cid base =
@@ -626,13 +638,13 @@ let free_pages t cid base =
   (* returning pages strictly reassigns their owner (L4Sec-style), so
      the key write is paid on free as well *)
   let page = Hw.Addr.page_of base in
-  match List.assoc_opt page t.page_allocs with
+  match Hashtbl.find_opt t.page_allocs page with
   | None -> Types.error "free_pages: 0x%x is not an allocation base" base
   | Some n ->
       (match Mm.Page_meta.owner t.meta page with
       | Some owner when owner = cid -> ()
       | _ -> Types.error "free_pages: cubicle %d does not own 0x%x" cid base);
-      t.page_allocs <- List.filter (fun (p, _) -> p <> page) t.page_allocs;
+      Hashtbl.remove t.page_allocs page;
       (match Hashtbl.find_opt t.cubicle_runs cid with
       | Some runs -> runs := List.filter (fun (p, _) -> p <> page) !runs
       | None -> ());

@@ -233,6 +233,12 @@ val observe_access : t -> addr:int -> len:int -> access:Telemetry.Event.access -
 (** {1 Introspection for tests and benchmarks} *)
 
 val page_owner : t -> int -> Types.cid option
+
+val owned_pages : t -> Types.cid -> int list
+(** Every page the cubicle owns, ascending — the page set a Keymux
+    eviction walks. Read from the cubicle's recorded page runs, so it
+    costs O(pages owned), not O(machine pages). *)
+
 val retag_count : t -> int
 
 val tag_evictions : t -> int

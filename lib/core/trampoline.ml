@@ -1,7 +1,8 @@
 type t = {
   mon : Monitor.t;
   thunks : (string, int) Hashtbl.t;  (* sym -> thunk address *)
-  guards : (Types.cid * string, int) Hashtbl.t;
+  guards : (Types.cid, (string, int) Hashtbl.t) Hashtbl.t;
+      (* cid -> sym -> guard entry address *)
 }
 
 (* One thunk: permission switch, the call into the callee's entry point
@@ -51,7 +52,15 @@ let alloc_thunks t syms =
    owned by the cubicle, so destroy_cubicle releases it with the rest
    of its memory. *)
 let alloc_guards t cid syms =
-  let fresh = List.filter (fun s -> not (Hashtbl.mem t.guards (cid, s))) syms in
+  let mine =
+    match Hashtbl.find_opt t.guards cid with
+    | Some g -> g
+    | None ->
+        let g = Hashtbl.create 16 in
+        Hashtbl.replace t.guards cid g;
+        g
+  in
+  let fresh = List.filter (fun s -> not (Hashtbl.mem mine s)) syms in
   if fresh <> [] then begin
     let cpu = Monitor.cpu t.mon in
     let nsyms = List.length fresh in
@@ -66,7 +75,7 @@ let alloc_guards t cid syms =
         let entry_addr = gbase + (i * guard_entry_size) in
         let entry = guard_entry ~thunk_off:(thunk - entry_addr) in
         Hw.Cpu.priv_write_bytes cpu entry_addr entry;
-        Hashtbl.replace t.guards (cid, sym) entry_addr)
+        Hashtbl.replace mine sym entry_addr)
       fresh;
     let gfirst = Hw.Addr.page_of gbase in
     for p = gfirst to gfirst + gpages - 1 do
@@ -90,11 +99,12 @@ let extend t ~syms ~cids =
       if Monitor.cubicle_kind t.mon cid = Types.Isolated then alloc_guards t cid syms)
     cids
 
-let forget_cubicle t cid =
-  let dead =
-    Hashtbl.fold (fun ((c, _) as k) _ acc -> if c = cid then k :: acc else acc) t.guards []
-  in
-  List.iter (Hashtbl.remove t.guards) dead
+let forget_cubicle t cid = Hashtbl.remove t.guards cid
+
+let find_guard t cid sym =
+  match Hashtbl.find_opt t.guards cid with
+  | Some mine -> Hashtbl.find_opt mine sym
+  | None -> None
 
 let thunk_addr t sym =
   match Hashtbl.find_opt t.thunks sym with
@@ -102,14 +112,14 @@ let thunk_addr t sym =
   | None -> Types.error "no trampoline thunk for symbol %s" sym
 
 let guard_addr t cid sym =
-  match Hashtbl.find_opt t.guards (cid, sym) with
+  match find_guard t cid sym with
   | Some a -> a
   | None -> Types.error "no guard entry for cubicle %d, symbol %s" cid sym
 
 let thunk_cid _ = Monitor.monitor_cid
 let syms t = Hashtbl.fold (fun sym _ acc -> sym :: acc) t.thunks [] |> List.sort compare
 let has_thunk t sym = Hashtbl.mem t.thunks sym
-let has_guard t cid sym = Hashtbl.mem t.guards (cid, sym)
+let has_guard t cid sym = Option.is_some (find_guard t cid sym)
 
 (* Run [f] with the machine configured as if [cid] were executing:
    PKRU narrowed to the cubicle's own tags. *)

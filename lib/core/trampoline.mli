@@ -30,7 +30,9 @@ val extend : t -> syms:string list -> cids:Types.cid list -> unit
     symbols. Non-isolated cids are ignored. *)
 
 val forget_cubicle : t -> Types.cid -> unit
-(** Drop all guard entries of a torn-down cubicle. The guard pages
+(** Drop all guard entries of a torn-down cubicle: guard entries are
+    indexed by cubicle, so this is one table removal whatever the number
+    of live cubicles and exports. The guard pages
     themselves live in the cubicle's own memory, so
     {!Monitor.destroy_cubicle} scrubs and releases them; this only
     clears the address map so a recycled cid starts clean. *)

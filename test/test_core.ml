@@ -709,6 +709,22 @@ let test_alloc_pages_ownership () =
   Monitor.free_pages mon foo base;
   check_bool "released" true (Monitor.page_owner mon (Hw.Addr.page_of base) = None)
 
+let test_free_pages_errors () =
+  let mon, foo, bar = mk_system () in
+  let base = Monitor.alloc_pages mon foo 2 ~kind:Mm.Page_meta.Heap in
+  let inner = base + Hw.Addr.page_size in
+  Alcotest.check_raises "not a base"
+    (Types.Error (Printf.sprintf "free_pages: 0x%x is not an allocation base" inner))
+    (fun () -> Monitor.free_pages mon foo inner);
+  Alcotest.check_raises "foreign owner"
+    (Types.Error (Printf.sprintf "free_pages: cubicle %d does not own 0x%x" bar base))
+    (fun () -> Monitor.free_pages mon bar base);
+  (* the rejected frees changed nothing: the owner can still free it, once *)
+  Monitor.free_pages mon foo base;
+  Alcotest.check_raises "double free"
+    (Types.Error (Printf.sprintf "free_pages: 0x%x is not an allocation base" base))
+    (fun () -> Monitor.free_pages mon foo base)
+
 (* --- teardown (dlclose) ------------------------------------------------------------- *)
 
 let test_destroy_cubicle () =
@@ -720,14 +736,16 @@ let test_destroy_cubicle () =
   Api.window_add ctx wid ~ptr:buf ~size:16;
   Api.window_open ctx wid bar;
   ignore (Monitor.call mon ~caller:foo "bar" [| buf; 0 |]);
-  let bar_pages = Mm.Page_meta.owned_by (Monitor.meta mon) bar in
+  let bar_pages = Oracle.owned_by_cubicle mon bar in
   check_bool "bar owned pages" true (bar_pages <> []);
+  check_bool "runs match ownership scan" true (Monitor.owned_pages mon bar = bar_pages);
   Monitor.destroy_cubicle mon bar;
   (* its exports are gone: CFI error, not a crash *)
   check_bool "export unresolved" true
     (is_error (fun () -> Monitor.call mon ~caller:foo "bar" [| buf; 0 |]));
   (* its pages were released *)
-  check_bool "pages released" true (Mm.Page_meta.owned_by (Monitor.meta mon) bar = []);
+  check_bool "pages released" true (Oracle.owned_by_cubicle mon bar = []);
+  check_bool "runs dropped" true (Monitor.owned_pages mon bar = []);
   (* the other cubicle is unaffected *)
   Monitor.run_as mon foo (fun () -> Api.write_u8 ctx buf 5)
 
@@ -985,6 +1003,7 @@ let () =
           Alcotest.test_case "heap growth" `Quick test_malloc_heap_growth;
           Alcotest.test_case "foreign free" `Quick test_free_foreign_pointer;
           Alcotest.test_case "page ownership" `Quick test_alloc_pages_ownership;
+          Alcotest.test_case "free_pages errors" `Quick test_free_pages_errors;
           Alcotest.test_case "destroy cubicle" `Quick test_destroy_cubicle;
           Alcotest.test_case "destroy recycles key" `Quick test_destroy_recycles_key;
           Alcotest.test_case "destroy revokes grants" `Quick test_destroy_revokes_peer_grants;

@@ -315,6 +315,67 @@ let test_tenant_pressure_past_16_keys () =
   done;
   check_bool "evictions occurred" true (Monitor.tag_evictions mon > 0)
 
+(* Guard entries are indexed by cubicle, so unloading a tenant pair
+   drops exactly the dead pair's guard tables: the dead cids hold no
+   guard for any symbol, every survivor keeps its guard set entry for
+   entry, and a pair spawned onto the recycled cids holds guards for
+   every live export (spawned cubicles can guard-call exports that
+   predate their batch). *)
+let test_tenant_unload_guard_index () =
+  let sys = Httpd.Tenant.boot ~virtualise:true ~mem_bytes:(64 * 1024 * 1024) () in
+  let mon = Httpd.Tenant.mon sys in
+  let tr = (Httpd.Tenant.built sys).Builder.trampolines in
+  List.iter (Httpd.Tenant.spawn sys) [ 1; 2; 3 ];
+  let syms = Trampoline.syms tr in
+  let guard_set cid =
+    List.filter_map
+      (fun s ->
+        if Trampoline.has_guard tr cid s then Some (s, Trampoline.guard_addr tr cid s) else None)
+      syms
+  in
+  let dead =
+    List.map (Monitor.lookup_cubicle mon) [ Httpd.Tenant.fs_name 2; Httpd.Tenant.web_name 2 ]
+  in
+  let survivors = List.filter (fun c -> not (List.mem c dead)) (Monitor.live_cids mon) in
+  let before = List.map (fun c -> (c, guard_set c)) survivors in
+  check_bool "survivors hold guards" true (List.exists (fun (_, g) -> g <> []) before);
+  Builder.unload (Httpd.Tenant.built sys) [ Httpd.Tenant.web_name 2; Httpd.Tenant.fs_name 2 ];
+  List.iter
+    (fun c ->
+      List.iter
+        (fun s ->
+          check_bool (Printf.sprintf "dead cid %d has no guard for %s" c s) false
+            (Trampoline.has_guard tr c s))
+        syms)
+    dead;
+  List.iter
+    (fun (c, g) ->
+      check_bool (Printf.sprintf "cubicle %d guard set unchanged" c) true (guard_set c = g))
+    before;
+  (* a fresh pair lands on the recycled cids *)
+  Httpd.Tenant.spawn sys 4;
+  let fresh =
+    List.map (Monitor.lookup_cubicle mon) [ Httpd.Tenant.fs_name 4; Httpd.Tenant.web_name 4 ]
+  in
+  check_bool "cids recycled" true (List.sort compare fresh = List.sort compare dead);
+  let live_exports =
+    List.concat_map
+      (fun c -> List.filter (Trampoline.has_thunk tr) (Monitor.exports_of mon c))
+      (Monitor.live_cids mon)
+  in
+  check_bool "live exports exist" true (List.length live_exports > 2);
+  List.iter
+    (fun c ->
+      List.iter
+        (fun s ->
+          check_bool (Printf.sprintf "respawned cid %d guards %s" c s) true
+            (Trampoline.has_guard tr c s))
+        live_exports)
+    fresh;
+  check_str "respawned tenant serves"
+    (Httpd.Tenant.expected ~tenant:4 ~off:3 ~len:20)
+    (Httpd.Tenant.request sys ~tenant:4 ~off:3 ~len:20)
+
 let () =
   Alcotest.run "httpd"
     [
@@ -350,5 +411,6 @@ let () =
           Alcotest.test_case "lifecycle recycles" `Quick test_tenant_lifecycle_recycles;
           Alcotest.test_case "spawn/teardown errors" `Quick test_tenant_teardown_errors;
           Alcotest.test_case "pressure past 16 keys" `Quick test_tenant_pressure_past_16_keys;
+          Alcotest.test_case "unload drops guard index" `Quick test_tenant_unload_guard_index;
         ] );
     ]

@@ -366,7 +366,7 @@ let prop_keymux_consistent =
                   "cubicle %d (vkey %d, resident %s) owns page %d tagged %d" cid vkey
                   (match res with Some p -> string_of_int p | None -> "no")
                   page tag)
-            (Mm.Page_meta.owned_by (Monitor.meta mon) cid))
+            (Oracle.owned_by_cubicle mon cid))
         live;
       (* a narrowed PKRU register only admits currently-bound tags *)
       for core = 0 to Hw.Cpu.ncores cpu - 1 do
@@ -377,6 +377,157 @@ let prop_keymux_consistent =
               QCheck.Test.fail_reportf "core %d PKRU admits unbound tag %d" core p
           done
       done;
+      true)
+
+(* --- qcheck: the eviction page walk against a full ownership scan ---------- *)
+
+type page_op =
+  | P_spawn of int
+  | P_teardown of int
+  | P_alloc of int * int  (* cubicle, pages *)
+  | P_free of int * int  (* cubicle, which of its allocations *)
+  | P_touch of int * int  (* cubicle, which of its allocations (0 = heap buffer) *)
+
+let gen_page_ops =
+  QCheck.Gen.(
+    list_size (int_range 40 120)
+      (frequency
+         [
+           (3, map (fun i -> P_spawn i) (int_bound 24));
+           (1, map (fun i -> P_teardown i) (int_bound 24));
+           (2, map2 (fun i n -> P_alloc (i, n)) (int_bound 24) (int_range 1 4));
+           (1, map2 (fun i k -> P_free (i, k)) (int_bound 24) (int_bound 7));
+           (4, map2 (fun i k -> P_touch (i, k)) (int_bound 24) (int_bound 7));
+         ]))
+
+let pp_page_ops ops =
+  String.concat ";"
+    (List.map
+       (function
+         | P_spawn i -> Printf.sprintf "S%d" i
+         | P_teardown i -> Printf.sprintf "T%d" i
+         | P_alloc (i, n) -> Printf.sprintf "A%d+%d" i n
+         | P_free (i, k) -> Printf.sprintf "F%d.%d" i k
+         | P_touch (i, k) -> Printf.sprintf "C%d.%d" i k)
+       ops)
+
+let pp_pages ps = "[" ^ String.concat "," (List.map string_of_int ps) ^ "]"
+
+(* The evict hook walks the victim's recorded page runs instead of
+   scanning every page of the machine. Under any spawn / teardown /
+   alloc_pages / free_pages / call script with virtualisation on:
+   after every step, each live cubicle's run-derived page set equals a
+   full scan of page ownership; and every eviction retags, in
+   ascending order, only pages the victim owns and leaves none of them
+   on the evicted tag. *)
+let prop_evict_walk_matches_scan =
+  QCheck.Test.make ~count:40 ~name:"keymux: eviction walk = ownership scan"
+    (QCheck.make ~print:pp_page_ops gen_page_ops)
+    (fun ops ->
+      let mon =
+        Monitor.create ~virtualise:true ~protection:Types.Full
+          ~mem_bytes:(8 * 1024 * 1024) ()
+      in
+      let pt = Hw.Cpu.page_table (Monitor.cpu mon) in
+      let bus = Monitor.bus mon in
+      let evictions = ref 0 in
+      (* Retag events since the last eviction, newest first: the hook's
+         own retags are the [pages] newest when Key_evict is emitted *)
+      let recent = ref [] in
+      Telemetry.Bus.set_tracing bus true;
+      Telemetry.Bus.set_sink bus
+        (Some
+           (fun e ->
+             match e.Telemetry.Bus.ev with
+             | Telemetry.Event.Retag { page; _ } -> recent := page :: !recent
+             | Telemetry.Event.Key_evict { cid; phys; pages; _ } ->
+                 incr evictions;
+                 let walked = List.rev (List.filteri (fun i _ -> i < pages) !recent) in
+                 recent := [];
+                 let owned = Oracle.owned_by_cubicle mon cid in
+                 if List.length walked <> pages then
+                   QCheck.Test.fail_reportf "eviction of %d reports %d pages, saw %d" cid
+                     pages (List.length walked);
+                 if List.sort_uniq compare walked <> walked then
+                   QCheck.Test.fail_reportf "eviction of %d walked out of order: %s" cid
+                     (pp_pages walked);
+                 List.iter
+                   (fun p ->
+                     if not (List.mem p owned) then
+                       QCheck.Test.fail_reportf "eviction of %d retagged foreign page %d" cid p)
+                   walked;
+                 List.iter
+                   (fun p ->
+                     if Hw.Page_table.key pt p = phys then
+                       QCheck.Test.fail_reportf "eviction of %d left page %d on tag %d" cid p
+                         phys)
+                   owned
+             | _ -> ()));
+      let live = Hashtbl.create 16 in
+      (* per cubicle: heap buffer, then its live alloc_pages bases *)
+      let allocs = Hashtbl.create 16 in
+      let nth_alloc i k =
+        let a = Hashtbl.find allocs i in
+        List.nth a (k mod List.length a)
+      in
+      let step = function
+        | P_spawn i when not (Hashtbl.mem live i) ->
+            let cid =
+              Monitor.create_cubicle mon ~name:(Printf.sprintf "P%d" i) ~kind:Types.Isolated
+                ~heap_pages:2 ~stack_pages:1
+            in
+            Monitor.register_exports mon cid
+              [
+                {
+                  Monitor.sym = Printf.sprintf "p%d_touch" i;
+                  fn =
+                    (fun ctx a ->
+                      Api.write_u8 ctx a.(0) (i land 0xFF);
+                      Api.read_u8 ctx a.(0));
+                  stack_bytes = 0;
+                };
+              ];
+            Hashtbl.replace live i cid;
+            Hashtbl.replace allocs i [ Monitor.malloc mon cid 8 ]
+        | P_teardown i when Hashtbl.mem live i ->
+            Monitor.destroy_cubicle mon (Hashtbl.find live i);
+            Hashtbl.remove live i;
+            Hashtbl.remove allocs i
+        | P_alloc (i, n) when Hashtbl.mem live i ->
+            let base = Monitor.alloc_pages mon (Hashtbl.find live i) n ~kind:Mm.Page_meta.Heap in
+            Hashtbl.replace allocs i (Hashtbl.find allocs i @ [ base ])
+        | P_free (i, k) when Hashtbl.mem live i -> (
+            match Hashtbl.find allocs i with
+            | buf :: (_ :: _ as bases) ->
+                let base = List.nth bases (k mod List.length bases) in
+                Monitor.free_pages mon (Hashtbl.find live i) base;
+                Hashtbl.replace allocs i (buf :: List.filter (( <> ) base) bases)
+            | _ -> ())
+        | P_touch (i, k) when Hashtbl.mem live i ->
+            let got =
+              Monitor.call mon ~caller:(Hashtbl.find live i) (Printf.sprintf "p%d_touch" i)
+                [| nth_alloc i k |]
+            in
+            if got <> i land 0xFF then QCheck.Test.fail_reportf "touch %d read back %d" i got
+        | P_spawn _ | P_teardown _ | P_alloc _ | P_free _ | P_touch _ -> ()
+      in
+      (* a preamble of more cubicles than physical tags, so every script
+         drives the hook *)
+      let preamble = List.init 20 (fun i -> P_spawn i) @ List.init 20 (fun i -> P_touch (i, 0)) in
+      List.iter
+        (fun op ->
+          step op;
+          List.iter
+            (fun cid ->
+              let walk = Monitor.owned_pages mon cid
+              and scan = Oracle.owned_by_cubicle mon cid in
+              if walk <> scan then
+                QCheck.Test.fail_reportf "after %s, cubicle %d: runs %s, scan %s"
+                  (pp_page_ops [ op ]) cid (pp_pages walk) (pp_pages scan))
+            (Monitor.live_cids mon))
+        (preamble @ ops);
+      Telemetry.Bus.set_sink bus None;
+      if !evictions = 0 then QCheck.Test.fail_report "no eviction exercised the hook";
       true)
 
 let () =
@@ -402,5 +553,7 @@ let () =
           Alcotest.test_case "return recomputes pkru" `Quick
             test_return_does_not_readmit_recycled_tag;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_keymux_consistent ]);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_keymux_consistent; prop_evict_walk_matches_scan ] );
     ]
