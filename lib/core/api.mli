@@ -68,6 +68,15 @@ val read_string : ctx -> int -> int -> string
 val write_string : ctx -> int -> string -> unit
 val read_bytes : ctx -> int -> int -> bytes
 val write_bytes : ctx -> int -> bytes -> unit
+
+val read_into : ctx -> int -> bytes -> int -> int -> unit
+(** [read_into c addr buf off len]: {!read_bytes} into [buf] at [off],
+    with no host allocation ({!Hw.Cpu.read_into}). *)
+
+val write_from : ctx -> int -> bytes -> int -> int -> unit
+(** [write_from c addr buf off len]: {!write_bytes} of [len] bytes of
+    [buf] from [off] ({!Hw.Cpu.write_from}). *)
+
 val read_u8 : ctx -> int -> int
 val write_u8 : ctx -> int -> int -> unit
 val read_u16 : ctx -> int -> int

@@ -366,8 +366,7 @@ let release_runs t cid =
         (fun (page, n) ->
           for p = page to page + n - 1 do
             (* scrub contents so the next owner cannot read stale data *)
-            Hw.Cpu.priv_write_bytes t.m_cpu (Hw.Addr.base_of_page p)
-              (Bytes.make Hw.Addr.page_size '\000');
+            Hw.Cpu.priv_fill t.m_cpu (Hw.Addr.base_of_page p) Hw.Addr.page_size '\000';
             Mm.Page_meta.release t.meta ~page:p;
             Hw.Cpu.unmap_page t.m_cpu p
           done;
@@ -653,8 +652,7 @@ let free_pages t cid base =
         (* scrub contents so the next owner cannot read stale data —
            same guarantee destroy_cubicle gives for whole-cubicle
            teardown, extended to individual page returns *)
-        Hw.Cpu.priv_write_bytes t.m_cpu (Hw.Addr.base_of_page p)
-          (Bytes.make Hw.Addr.page_size '\000');
+        Hw.Cpu.priv_fill t.m_cpu (Hw.Addr.base_of_page p) Hw.Addr.page_size '\000';
         Mm.Page_meta.release t.meta ~page:p;
         Hw.Cpu.unmap_page t.m_cpu p
       done;

@@ -246,7 +246,9 @@ let poll_inner t =
       let header_end =
         let rec find i =
           if i + 4 > String.length raw then None
-          else if String.sub raw i 4 = "\r\n\r\n" then Some (i + 4)
+          else if
+            raw.[i] = '\r' && raw.[i + 1] = '\n' && raw.[i + 2] = '\r' && raw.[i + 3] = '\n'
+          then Some (i + 4)
           else find (i + 1)
         in
         find 0

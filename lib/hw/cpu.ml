@@ -344,22 +344,37 @@ let write_i64 t a v =
   Cost.charge_mem t.cost 8;
   Phys_mem.set_i64 t.mem a v
 
-let read_bytes t a len =
+(* The host side of a copy is checked before anything simulated
+   happens, so a bad [(buf, off, len)] raises with no fault delivered
+   and no cycle charged. A negative [len] passes here and is rejected
+   by [check_range] like every other checked access. *)
+let check_host fn buf off len =
+  if off < 0 || (len >= 0 && off > Bytes.length buf - len) then
+    invalid_arg
+      (Printf.sprintf "Cpu.%s: host range [%d, +%d) outside a %d-byte buffer" fn off len
+         (Bytes.length buf))
+
+let read_into t a buf off len =
+  check_host "read_into" buf off len;
   if not (fast t a len 1) then check_range t a len Fault.Read;
   Cost.charge_mem t.cost len;
-  Phys_mem.read_bytes t.mem a len
+  Phys_mem.read_into t.mem a buf off len
 
-let write_bytes t a b =
-  let len = Bytes.length b in
+let write_from t a buf off len =
+  check_host "write_from" buf off len;
   if not (fast t a len 2) then check_range t a len Fault.Write;
   Cost.charge_mem t.cost len;
-  Phys_mem.write_bytes t.mem a b
+  Phys_mem.write_from t.mem a buf off len
 
-let write_string t a s =
-  let len = String.length s in
-  if not (fast t a len 2) then check_range t a len Fault.Write;
-  Cost.charge_mem t.cost len;
-  Phys_mem.write_string t.mem a s
+let read_bytes t a len =
+  let b = Bytes.create (max len 0) in
+  read_into t a b 0 len;
+  b
+
+let write_bytes t a b = write_from t a b 0 (Bytes.length b)
+
+(* [write_from] only reads its buffer, so the string is never mutated *)
+let write_string t a s = write_from t a (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let memcpy t ~dst ~src ~len =
   if not (fast t src len 1) then check_range t src len Fault.Read;
@@ -375,17 +390,27 @@ let memset t a len c =
 let fetch t a len =
   if not (fast t a len 4) then check_range t a len Fault.Exec
 
-let priv_read_bytes t a len =
+let priv_read_into t a buf off len =
+  check_host "priv_read_into" buf off len;
   Cost.charge_mem t.cost len;
-  Phys_mem.read_bytes t.mem a len
+  Phys_mem.read_into t.mem a buf off len
+
+let priv_read_bytes t a len =
+  let b = Bytes.create (max len 0) in
+  priv_read_into t a b 0 len;
+  b
 
 let priv_write_bytes t a b =
   Cost.charge_mem t.cost (Bytes.length b);
-  Phys_mem.write_bytes t.mem a b
+  Phys_mem.write_from t.mem a b 0 (Bytes.length b)
 
 let priv_write_string t a s =
   Cost.charge_mem t.cost (String.length s);
   Phys_mem.write_string t.mem a s
+
+let priv_fill t a len c =
+  Cost.charge_mem t.cost len;
+  Phys_mem.fill t.mem a len c
 
 let priv_blit t ~dst ~src ~len =
   Cost.charge_mem t.cost (2 * len);

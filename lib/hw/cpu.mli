@@ -131,7 +131,21 @@ val write_u32 : t -> int -> int -> unit
 val read_i64 : t -> int -> int64
 val write_i64 : t -> int -> int64 -> unit
 
+val read_into : t -> int -> bytes -> int -> int -> unit
+(** [read_into t addr buf off len] is the checked, charged copy of
+    [len] bytes at [addr] into [buf] at [off]: the same permission
+    checks, faults and [len]-byte memory charge as {!read_bytes}, with
+    no host allocation. Raises [Invalid_argument] if [(off, len)] is
+    not a range of [buf], before any check or charge. *)
+
+val write_from : t -> int -> bytes -> int -> int -> unit
+(** [write_from t addr buf off len] is the checked, charged copy of
+    [len] bytes of [buf] from [off] to [addr]; the write counterpart
+    of {!read_into}. *)
+
 val read_bytes : t -> int -> int -> bytes
+(** {!read_into} a fresh buffer. *)
+
 val write_bytes : t -> int -> bytes -> unit
 val write_string : t -> int -> string -> unit
 
@@ -148,10 +162,17 @@ val check_range : t -> int -> int -> Fault.access -> unit
 (** {1 Privileged accessors} — monitor/loader/host-bridge only: bypass
     page-level and key checks but still charge memory cycles. *)
 
+val priv_read_into : t -> int -> bytes -> int -> int -> unit
+(** Unchecked {!read_into}: same host-range check and charge. *)
+
 val priv_read_bytes : t -> int -> int -> bytes
 val priv_write_bytes : t -> int -> bytes -> unit
 val priv_write_string : t -> int -> string -> unit
 val priv_blit : t -> dst:int -> src:int -> len:int -> unit
+val priv_fill : t -> int -> int -> char -> unit
+(** [priv_fill t addr len c] sets [len] bytes to [c] in place, charged
+    as a [len]-byte {!priv_write_bytes} (the monitor's page scrub). *)
+
 val priv_read_u32 : t -> int -> int
 val priv_write_u32 : t -> int -> int -> unit
 

@@ -68,17 +68,20 @@ let set_i64 t addr v =
   check t addr 8;
   Bytes.set_int64_le t.data addr v
 
+let read_into t addr buf off len =
+  check t addr len;
+  Bytes.blit t.data addr buf off len
+
+let write_from t addr buf off len =
+  check t addr len;
+  Bytes.blit buf off t.data addr len
+
 let read_bytes t addr len =
   check t addr len;
   Bytes.sub t.data addr len
 
-let write_bytes t addr b =
-  check t addr (Bytes.length b);
-  Bytes.blit b 0 t.data addr (Bytes.length b)
-
 let write_string t addr s =
-  check t addr (String.length s);
-  Bytes.blit_string s 0 t.data addr (String.length s)
+  write_from t addr (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let blit t ~src ~dst ~len =
   check t src len;

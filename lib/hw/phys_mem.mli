@@ -32,10 +32,18 @@ val set_u32 : t -> int -> int -> unit
 val get_i64 : t -> int -> int64
 val set_i64 : t -> int -> int64 -> unit
 
-val read_bytes : t -> int -> int -> bytes
-(** [read_bytes t addr len] copies [len] bytes out of simulated memory. *)
+val read_into : t -> int -> bytes -> int -> int -> unit
+(** [read_into t addr buf off len] copies [len] bytes of simulated
+    memory at [addr] into [buf] at [off], allocating nothing. *)
 
-val write_bytes : t -> int -> bytes -> unit
+val write_from : t -> int -> bytes -> int -> int -> unit
+(** [write_from t addr buf off len] copies [len] bytes of [buf] from
+    [off] into simulated memory at [addr]. *)
+
+val read_bytes : t -> int -> int -> bytes
+(** [read_bytes t addr len] copies [len] bytes out of simulated memory
+    into a fresh buffer. *)
+
 val write_string : t -> int -> string -> unit
 
 val blit : t -> src:int -> dst:int -> len:int -> unit

@@ -21,62 +21,76 @@ type node = Leaf of leaf | Interior of interior
 
 (* --- node (de)serialization ------------------------------------------------ *)
 
-let leaf_bytes keys payloads =
-  ignore keys;
-  Array.fold_left (fun acc p -> acc + 10 + String.length p) 7 payloads
+(* On-page format, little-endian: [kind u8][nkeys u16][u32], where the
+   u32 is a leaf's [next] or an interior's first child; then per entry a
+   leaf holds [key i64][len u16][payload], an interior [key i64][child
+   u32]. Nodes are encoded into and decoded from the pager's staging
+   page, so a node read or write allocates no page-sized host buffer. *)
 
+let leaf_bytes payloads = Array.fold_left (fun acc p -> acc + 10 + String.length p) 7 payloads
+let interior_bytes nkeys = 7 + (12 * nkeys)
 let interior_max_keys = (page_size - 11) / 12
 
-let encode_node node =
-  let b = Buffer.create 512 in
-  (match node with
+let node_bytes = function
+  | Leaf l -> leaf_bytes l.lpayloads
+  | Interior n -> interior_bytes (Array.length n.ikeys)
+
+let encode_into b = function
   | Leaf l ->
-      Buffer.add_uint8 b 1;
-      Buffer.add_uint16_le b (Array.length l.lkeys);
-      Buffer.add_int32_le b (Int32.of_int l.next);
+      Bytes.set_uint8 b 0 1;
+      Bytes.set_uint16_le b 1 (Array.length l.lkeys);
+      Bytes.set_int32_le b 3 (Int32.of_int l.next);
+      let pos = ref 7 in
       Array.iteri
         (fun i k ->
-          Buffer.add_int64_le b k;
-          Buffer.add_uint16_le b (String.length l.lpayloads.(i));
-          Buffer.add_string b l.lpayloads.(i))
+          let p = l.lpayloads.(i) in
+          let len = String.length p in
+          Bytes.set_int64_le b !pos k;
+          Bytes.set_uint16_le b (!pos + 8) len;
+          Bytes.blit_string p 0 b (!pos + 10) len;
+          pos := !pos + 10 + len)
         l.lkeys
   | Interior n ->
-      Buffer.add_uint8 b 2;
-      Buffer.add_uint16_le b (Array.length n.ikeys);
-      Buffer.add_int32_le b (Int32.of_int n.children.(0));
+      Bytes.set_uint8 b 0 2;
+      Bytes.set_uint16_le b 1 (Array.length n.ikeys);
+      Bytes.set_int32_le b 3 (Int32.of_int n.children.(0));
       Array.iteri
         (fun i k ->
-          Buffer.add_int64_le b k;
-          Buffer.add_int32_le b (Int32.of_int n.children.(i + 1)))
-        n.ikeys);
-  let s = Buffer.contents b in
-  if String.length s > page_size then Types.error "btree: node overflows page";
-  s
+          let off = 7 + (12 * i) in
+          Bytes.set_int64_le b off k;
+          Bytes.set_int32_le b (off + 8) (Int32.of_int n.children.(i + 1)))
+        n.ikeys
 
-let decode_node s =
-  let kind = Char.code s.[0] in
-  let nkeys = Char.code s.[1] lor (Char.code s.[2] lsl 8) in
-  let u32 off = Int32.to_int (String.get_int32_le s off) in
-  match kind with
+(* Every extent is checked against the page before it is read, so a
+   damaged page fails closed with a [Types.Error] naming it. *)
+let decode_node pageno b =
+  let corrupt () = Types.error "btree: corrupt node on page %d" pageno in
+  let nkeys = Bytes.get_uint16_le b 1 in
+  let u32 off = Int32.to_int (Bytes.get_int32_le b off) in
+  match Bytes.get_uint8 b 0 with
   | 1 ->
+      if 7 + (10 * nkeys) > page_size then corrupt ();
       let next = u32 3 in
       let lkeys = Array.make nkeys 0L in
       let lpayloads = Array.make nkeys "" in
       let pos = ref 7 in
       for i = 0 to nkeys - 1 do
-        lkeys.(i) <- String.get_int64_le s !pos;
-        let len = Char.code s.[!pos + 8] lor (Char.code s.[!pos + 9] lsl 8) in
-        lpayloads.(i) <- String.sub s (!pos + 10) len;
+        if !pos + 10 > page_size then corrupt ();
+        let len = Bytes.get_uint16_le b (!pos + 8) in
+        if !pos + 10 + len > page_size then corrupt ();
+        lkeys.(i) <- Bytes.get_int64_le b !pos;
+        lpayloads.(i) <- Bytes.sub_string b (!pos + 10) len;
         pos := !pos + 10 + len
       done;
       Leaf { lkeys; lpayloads; next }
   | 2 ->
+      if interior_bytes nkeys > page_size then corrupt ();
       let children = Array.make (nkeys + 1) 0 in
       children.(0) <- u32 3;
       let ikeys = Array.make nkeys 0L in
       for i = 0 to nkeys - 1 do
         let off = 7 + (12 * i) in
-        ikeys.(i) <- String.get_int64_le s off;
+        ikeys.(i) <- Bytes.get_int64_le b off;
         children.(i + 1) <- u32 (off + 8)
       done;
       Interior { ikeys; children }
@@ -84,16 +98,22 @@ let decode_node s =
 
 let read_node t pageno =
   Pager.read_page t.pager pageno (fun addr ->
-      decode_node (Bytes.to_string (Api.read_bytes (Pager.ctx t.pager) addr page_size)))
+      let stage = Pager.stage t.pager in
+      Api.read_into (Pager.ctx t.pager) addr stage 0 page_size;
+      decode_node pageno stage)
 
+(* The whole node is written through the checked accessors, as the cost
+   model charges it; encoding happens in the staging page inside the
+   callback, so the stage cannot be reused between fill and copy-out. *)
 let write_node t pageno node =
-  let s = encode_node node in
+  let len = node_bytes node in
+  if len > page_size then Types.error "btree: node overflows page";
   Pager.write_page t.pager pageno (fun addr ->
-      Api.write_bytes (Pager.ctx t.pager) addr (Bytes.of_string s);
+      let ctx = Pager.ctx t.pager and stage = Pager.stage t.pager in
+      encode_into stage node;
+      Api.write_from ctx addr stage 0 len;
       (* keep the rest of the page deterministic *)
-      if String.length s < page_size then
-        Api.memset (Pager.ctx t.pager) (addr + String.length s)
-          (page_size - String.length s) '\000')
+      if len < page_size then Api.memset ctx (addr + len) (page_size - len) '\000')
 
 let empty_leaf = Leaf { lkeys = [||]; lpayloads = [||]; next = 0 }
 
@@ -146,7 +166,7 @@ let rec insert_at t pageno ~key ~payload =
         | `Found i -> (l.lkeys, array_set l.lpayloads i payload)
         | `Insert i -> (array_insert l.lkeys i key, array_insert l.lpayloads i payload)
       in
-      if leaf_bytes lkeys lpayloads <= page_size then begin
+      if leaf_bytes lpayloads <= page_size then begin
         write_node t pageno (Leaf { lkeys; lpayloads; next = l.next });
         None
       end

@@ -50,6 +50,7 @@ type t = {
   mutable joff : int;
   mutable txn_orig_npages : int;
   scratch : int;  (* small buffer for journal record headers *)
+  stage : Bytes.t;  (* host staging page for the node and catalog codecs *)
   st : stats;
 }
 
@@ -58,6 +59,7 @@ let page_count t = t.npages
 let cached_pages t = List.sort compare (Hashtbl.fold (fun p _ acc -> p :: acc) t.frames [])
 let in_txn t = t.txn
 let ctx t = t.os.Os_iface.ctx
+let stage t = t.stage
 
 let[@inline] emit_pager t op =
   let b = Hw.Cpu.bus (ctx t).Monitor.cpu in
@@ -117,6 +119,7 @@ let open_db ?(cache_pages = 64) ?(journal_mode = Rollback) (os : Os_iface.t) ~pa
     joff = 0;
     txn_orig_npages = 0;
     scratch;
+    stage = Bytes.create page_size;
     st =
       {
         hits = 0;
@@ -432,4 +435,12 @@ let close t =
     ignore (t.os.close_file t.wal_fd);
     ignore (t.os.unlink t.wal_path)
   end;
-  ignore (t.os.close_file t.fd)
+  ignore (t.os.close_file t.fd);
+  (* hand the cache frames and the scratch buffer back to the heap: an
+     application that opens one database after another must not grow
+     its heap by a cache's worth of pages per database *)
+  Hashtbl.iter (fun _ f -> Api.free (ctx t) f.addr) t.frames;
+  List.iter (Api.free (ctx t)) t.free_frames;
+  Api.free (ctx t) t.scratch;
+  Hashtbl.reset t.frames;
+  t.free_frames <- []

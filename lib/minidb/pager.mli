@@ -51,7 +51,9 @@ val wal_pages : t -> int
 
 val close : t -> unit
 (** Commits nothing: flushes dirty pages outside a transaction, then
-    closes. Raises {!Cubicle.Types.Error} if a transaction is open. *)
+    closes the files and frees the cache frames and scratch buffer in
+    the application heap. Raises {!Cubicle.Types.Error} if a
+    transaction is open. *)
 
 val page_count : t -> int
 val stats : t -> stats
@@ -62,6 +64,13 @@ val cached_pages : t -> int list
 
 val ctx : t -> Cubicle.Monitor.ctx
 (** The application context frames live in (for reading frame bytes). *)
+
+val stage : t -> bytes
+(** A host buffer of {!page_size} bytes owned by this pager, for
+    decoding a page read with [Api.read_into] and encoding one written
+    with [Api.write_from] without allocating. Fill it and use it inside
+    one {!read_page}/{!write_page} callback, with no monitor call in
+    between: the buffer is shared by every user of this pager. *)
 
 val allocate_page : t -> int
 (** Extend the file by one (zeroed) page; returns its page number. *)

@@ -930,6 +930,125 @@ let prop_search_index_matches_linear =
       in
       !searches_agree && covers_agree)
 
+(* --- caller-buffer copies through the monitor ------------------------------- *)
+
+(* BAR copies a span of FOO's two-page buffer through [Api.read_into]/
+   [write_from] and through [read_bytes]/[write_bytes], each on a fresh
+   machine: the trap-and-map faults, the retags and the traced
+   [Window_access]/[Fault] events must be the same, as must the bytes,
+   the cycles and the memory charge. *)
+let api_copy ~grant ~write ~into ~off ~len =
+  let mon, foo, bar = mk_system () in
+  let fctx = Monitor.ctx_for mon foo and bctx = Monitor.ctx_for mon bar in
+  let buf = Api.malloc_page_aligned fctx 8192 in
+  let data = String.init 8192 (fun i -> Char.chr ((i * 7) land 0xFF)) in
+  Monitor.run_as mon foo (fun () -> Api.write_string fctx buf data);
+  let wid = Api.window_init fctx ~klass:Mm.Page_meta.Heap in
+  (match grant with
+  | `Open perm ->
+      Api.window_add fctx ~perm wid ~ptr:buf ~size:8192;
+      Api.window_open fctx wid bar
+  | `Closed ->
+      Api.window_add fctx wid ~ptr:buf ~size:8192;
+      Api.window_open fctx wid bar;
+      Monitor.run_as mon bar (fun () -> ignore (Api.read_u8 bctx buf));
+      Api.window_close fctx wid bar;
+      (* the owner's touch takes the pages back (causal revocation) *)
+      Monitor.run_as mon foo (fun () -> Api.write_u8 fctx buf 0; Api.write_u8 fctx (buf + 4096) 0));
+  let cpu = Monitor.cpu mon and bus = Monitor.bus mon in
+  let cost = Hw.Cpu.cost cpu in
+  Telemetry.Bus.set_tracing bus true;
+  Telemetry.Bus.clear_ring bus;
+  let c0 = Hw.Cost.cycles cost and m0 = cost.Hw.Cost.mem_bytes and f0 = Hw.Cpu.fault_count cpu in
+  let a = buf + off in
+  let payload = String.make len 'w' in
+  let outcome =
+    match
+      Monitor.run_as mon bar (fun () ->
+          match (write, into) with
+          | false, false -> Bytes.to_string (Api.read_bytes bctx a len)
+          | false, true ->
+              let host = Bytes.make (len + 5) '#' in
+              Api.read_into bctx a host 5 len;
+              Bytes.sub_string host 5 len
+          | true, false ->
+              Api.write_bytes bctx a (Bytes.of_string payload);
+              ""
+          | true, true ->
+              Api.write_from bctx a (Bytes.of_string ("#####" ^ payload)) 5 len;
+              "")
+    with
+    | s -> Ok s
+    | exception Hw.Fault.Violation (f, _) -> Error f
+  in
+  let contents = Monitor.run_as mon foo (fun () -> Api.read_string fctx buf 8192) in
+  let trace =
+    List.filter_map
+      (fun e ->
+        match e.Telemetry.Bus.ev with
+        | (Telemetry.Event.Window_access _ | Telemetry.Event.Fault _) as ev -> Some ev
+        | _ -> None)
+      (Telemetry.Bus.events bus)
+  in
+  ( outcome,
+    contents,
+    Hw.Cost.cycles cost - c0,
+    cost.Hw.Cost.mem_bytes - m0,
+    Hw.Cpu.fault_count cpu - f0,
+    trace )
+
+let test_api_copy_into_matches_bytes () =
+  let saw_fault = ref false and saw_access = ref false in
+  List.iter
+    (fun (gname, grant) ->
+      List.iter
+        (fun (off, len) ->
+          List.iter
+            (fun write ->
+              let o1, m1, c1, b1, f1, t1 = api_copy ~grant ~write ~into:false ~off ~len in
+              let o2, m2, c2, b2, f2, t2 = api_copy ~grant ~write ~into:true ~off ~len in
+              let msg =
+                Printf.sprintf "%s %s [+%d,%d)" gname (if write then "write" else "read") off len
+              in
+              check_bool (msg ^ ": outcome") true (o1 = o2);
+              check_bool (msg ^ ": memory") true (m1 = m2);
+              check_int (msg ^ ": cycles") c1 c2;
+              check_int (msg ^ ": mem_bytes") b1 b2;
+              check_int (msg ^ ": faults") f1 f2;
+              check_bool (msg ^ ": trace") true (t1 = t2);
+              if Result.is_error o1 then saw_fault := true;
+              if
+                List.exists
+                  (function Telemetry.Event.Window_access _ -> true | _ -> false)
+                  t1
+              then saw_access := true)
+            [ false; true ])
+        [ (10, 100); (4000, 200) ])
+    [
+      ("open RW", `Open Window.RW);
+      ("open R", `Open Window.R);
+      ("closed", `Closed);
+    ];
+  check_bool "some copies were denied" true !saw_fault;
+  check_bool "window accesses were traced" true !saw_access
+
+let test_api_bad_host_range_untouched () =
+  let mon, foo, _ = mk_system () in
+  let ctx = Monitor.ctx_for mon foo in
+  let buf = Api.malloc_page_aligned ctx 4096 in
+  let cost = Monitor.cost mon in
+  Monitor.run_as mon foo (fun () ->
+      let c0 = Hw.Cost.cycles cost in
+      check_bool "read_into rejects" true
+        (match Api.read_into ctx buf (Bytes.create 8) 4 8 with
+        | () -> false
+        | exception Invalid_argument _ -> true);
+      check_bool "write_from rejects" true
+        (match Api.write_from ctx buf (Bytes.create 8) (-1) 2 with
+        | () -> false
+        | exception Invalid_argument _ -> true);
+      check_int "nothing charged" c0 (Hw.Cost.cycles cost))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_window_acl; prop_scan_catches_planted; prop_search_index_matches_linear ]
@@ -1011,6 +1130,11 @@ let () =
             test_spawn_guards_cover_existing_exports;
           Alcotest.test_case "destroy churn" `Quick test_destroy_full_slot_reuse;
           Alcotest.test_case "destroy monitor rejected" `Quick test_destroy_monitor_rejected;
+        ] );
+      ( "copies",
+        [
+          Alcotest.test_case "into/from = bytes" `Quick test_api_copy_into_matches_bytes;
+          Alcotest.test_case "bad host range" `Quick test_api_bad_host_range_untouched;
         ] );
       ("properties", qsuite);
     ]

@@ -342,6 +342,149 @@ let test_cpu_costs () =
   check_int "pkey cost" Hw.Cost.default_model.pkey_set (c2 - c1);
   check_int "wrpkru counted" 1 (Hw.Cpu.wrpkru_count cpu)
 
+(* --- Caller-buffer copies ---------------------------------------------------- *)
+
+(* [read_into]/[write_from] must be [read_bytes]/[write_bytes] without
+   the host buffer: same bytes, cycles, memory charge, faults and trace.
+   Each variant runs on a fresh, identically set-up machine; the host
+   buffer is offset and guarded so a stray host write would show. *)
+type copy_obs = {
+  outcome : (string, Hw.Fault.t) result;
+  cycles : int;
+  mem : int;
+  faults : int;
+  trace : Telemetry.Event.t list;
+}
+
+let observe_copy setup f =
+  let cpu = mk_cpu () in
+  setup cpu;
+  let bus = Hw.Cpu.bus cpu and cost = Hw.Cpu.cost cpu in
+  Telemetry.Bus.set_tracing bus true;
+  Telemetry.Bus.clear_ring bus;
+  let c0 = Hw.Cost.cycles cost and m0 = cost.Hw.Cost.mem_bytes and f0 = Hw.Cpu.fault_count cpu in
+  let outcome = match f cpu with s -> Ok s | exception Hw.Fault.Violation (flt, _) -> Error flt in
+  {
+    outcome;
+    cycles = Hw.Cost.cycles cost - c0;
+    mem = cost.Hw.Cost.mem_bytes - m0;
+    faults = Hw.Cpu.fault_count cpu - f0;
+    trace = List.map (fun e -> e.Telemetry.Bus.ev) (Telemetry.Bus.events bus);
+  }
+
+let same_obs msg a b =
+  check_bool (msg ^ ": outcome") true (a.outcome = b.outcome);
+  check_int (msg ^ ": cycles") a.cycles b.cycles;
+  check_int (msg ^ ": mem_bytes") a.mem b.mem;
+  check_int (msg ^ ": faults") a.faults b.faults;
+  check_bool (msg ^ ": trace") true (a.trace = b.trace)
+
+let guard = 7
+let pattern len = String.init len (fun i -> Char.chr ((i * 31) land 0xFF))
+
+let read_via_into cpu a len =
+  let buf = Bytes.make (len + (2 * guard)) '#' in
+  Hw.Cpu.read_into cpu a buf guard len;
+  check_bool "guards intact" true
+    (Bytes.sub_string buf 0 guard = String.make guard '#'
+    && Bytes.sub_string buf (guard + len) guard = String.make guard '#');
+  Bytes.sub_string buf guard len
+
+(* memory around [a] after a write, as far as it exists *)
+let around cpu a len =
+  let lo = max 0 (a - 16) in
+  let hi = min (Hw.Phys_mem.size (Hw.Cpu.mem cpu)) (a + len + 16) in
+  if lo >= hi then "" else Bytes.to_string (Hw.Phys_mem.read_bytes (Hw.Cpu.mem cpu) lo (hi - lo))
+
+let write_via_from cpu a len =
+  let buf = Bytes.of_string (String.make guard '#' ^ pattern len ^ String.make guard '#') in
+  Hw.Cpu.write_from cpu a buf guard len;
+  around cpu a len
+
+let write_via_bytes cpu a len =
+  Hw.Cpu.write_bytes cpu a (Bytes.of_string (pattern len));
+  around cpu a len
+
+let copy_cases =
+  let fill cpu = Hw.Phys_mem.write_string (Hw.Cpu.mem cpu) 0 (pattern (64 * 4096)) in
+  let keyed cpu =
+    fill cpu;
+    Hw.Cpu.set_mpk_enabled cpu true;
+    Hw.Cpu.map_page cpu 9 Hw.Page_table.perm_rw ~key:7;
+    Hw.Cpu.wrpkru cpu (Hw.Pkru.of_keys [ 0 ])
+  in
+  let read_only cpu =
+    fill cpu;
+    Hw.Cpu.map_page cpu 4 Hw.Page_table.perm_r ~key:0
+  in
+  [
+    ("single page", fill, (4096 * 2) + 100, 300);
+    ("page crossing", fill, (4096 * 3) - 50, 200);
+    ("whole page", fill, 4096 * 5, 4096);
+    ("into a denied key", keyed, (4096 * 9) - 2, 4);
+    ("read-only page", read_only, (4096 * 4) + 8, 64);
+    ("beyond memory", fill, (64 * 4096) - 10, 20);
+    ("far out of memory", fill, 1 lsl 40, 8);
+  ]
+
+let test_cpu_read_into_matches_read_bytes () =
+  List.iter
+    (fun (name, setup, a, len) ->
+      same_obs ("read " ^ name)
+        (observe_copy setup (fun cpu -> Bytes.to_string (Hw.Cpu.read_bytes cpu a len)))
+        (observe_copy setup (fun cpu -> read_via_into cpu a len)))
+    copy_cases
+
+let test_cpu_write_from_matches_write_bytes () =
+  List.iter
+    (fun (name, setup, a, len) ->
+      same_obs ("write " ^ name)
+        (observe_copy setup (fun cpu -> write_via_bytes cpu a len))
+        (observe_copy setup (fun cpu -> write_via_from cpu a len)))
+    copy_cases
+
+(* A bad host range is rejected before the machine is touched — even
+   for an address that would fault. *)
+let test_cpu_bad_host_range_charges_nothing () =
+  let cpu = mk_cpu () in
+  Hw.Cpu.unmap_page cpu 3;
+  let buf = Bytes.create 16 in
+  let cost = Hw.Cpu.cost cpu in
+  List.iter
+    (fun (what, f) ->
+      let c0 = Hw.Cost.cycles cost and f0 = Hw.Cpu.fault_count cpu in
+      check_bool (what ^ " raises") true
+        (match f () with () -> false | exception Invalid_argument _ -> true);
+      check_int (what ^ ": no cycles") c0 (Hw.Cost.cycles cost);
+      check_int (what ^ ": no fault") f0 (Hw.Cpu.fault_count cpu))
+    [
+      ("read_into past end", fun () -> Hw.Cpu.read_into cpu (4096 * 3) buf 8 9);
+      ("read_into negative off", fun () -> Hw.Cpu.read_into cpu 0 buf (-1) 4);
+      ("write_from past end", fun () -> Hw.Cpu.write_from cpu (4096 * 3) buf 0 17);
+      ("write_from off beyond", fun () -> Hw.Cpu.write_from cpu 0 buf 17 0);
+      ("priv_read_into past end", fun () -> Hw.Cpu.priv_read_into cpu 0 buf 16 1);
+    ];
+  Alcotest.check_raises "negative length still reaches check_range"
+    (Invalid_argument "Cpu.check_range: negative length") (fun () ->
+      Hw.Cpu.read_into cpu 0 buf 0 (-1));
+  Alcotest.check_raises "read_bytes negative length"
+    (Invalid_argument "Cpu.check_range: negative length") (fun () ->
+      ignore (Hw.Cpu.read_bytes cpu 0 (-1)))
+
+let test_cpu_priv_fill_matches_zero_page () =
+  let scrub f =
+    let cpu = mk_cpu () in
+    Hw.Phys_mem.write_string (Hw.Cpu.mem cpu) 4096 (pattern (3 * 4096));
+    let c0 = Hw.Cost.cycles (Hw.Cpu.cost cpu) in
+    f cpu (4096 * 2);
+    (Hw.Cost.cycles (Hw.Cpu.cost cpu) - c0, around cpu (4096 * 2) 4096)
+  in
+  let c1, m1 = scrub (fun cpu a -> Hw.Cpu.priv_write_bytes cpu a (Bytes.make 4096 '\000')) in
+  let c2, m2 = scrub (fun cpu a -> Hw.Cpu.priv_fill cpu a 4096 '\000') in
+  check_int "same charge" c1 c2;
+  Alcotest.(check string) "same contents" m1 m2;
+  check_bool "page zeroed" true (String.sub m2 16 4096 = String.make 4096 '\000')
+
 (* --- Tlb ------------------------------------------------------------------ *)
 
 (* (a) A cached allow decision must die with the page's key: retag to a
@@ -584,6 +727,11 @@ let () =
           Alcotest.test_case "blit checks both" `Quick test_cpu_blit_checks_both_sides;
           Alcotest.test_case "range crossing" `Quick test_cpu_range_crossing_pages;
           Alcotest.test_case "costs" `Quick test_cpu_costs;
+          Alcotest.test_case "read_into = read_bytes" `Quick test_cpu_read_into_matches_read_bytes;
+          Alcotest.test_case "write_from = write_bytes" `Quick
+            test_cpu_write_from_matches_write_bytes;
+          Alcotest.test_case "bad host range" `Quick test_cpu_bad_host_range_charges_nothing;
+          Alcotest.test_case "priv_fill = zero page" `Quick test_cpu_priv_fill_matches_zero_page;
         ] );
       ( "tlb",
         [

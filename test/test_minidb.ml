@@ -196,6 +196,29 @@ let test_pager_rollback_spilled_pages () =
     pages;
   Minidb.Pager.close p
 
+(* Closing a pager gives its cache frames back to the heap, so an
+   application opening one database after another keeps a flat
+   footprint instead of growing its heap by a cache's worth of pages
+   per database (which exhausted simulated memory on long runs). *)
+let test_pager_close_frees_frames () =
+  let os = mk_os () in
+  let mon = os.Minidb.Os_iface.ctx.Monitor.mon in
+  let cycle i =
+    let path = Printf.sprintf "/cycle-%d.db" i in
+    let p = Minidb.Pager.open_db os ~path in
+    for _ = 1 to 80 do
+      ignore (Minidb.Pager.allocate_page p)
+    done;
+    Minidb.Pager.close p;
+    ignore (os.unlink path)
+  in
+  cycle 0;
+  let free_after_first = Monitor.free_page_count mon in
+  for i = 1 to 12 do
+    cycle i
+  done;
+  check_int "machine pages after 13 databases" free_after_first (Monitor.free_page_count mon)
+
 let test_pager_nested_txn_rejected () =
   let os = mk_os () in
   let p = Minidb.Pager.open_db os ~path:"/nest.db" in
@@ -374,6 +397,135 @@ let prop_btree_iter_sorted =
       Minidb.Btree.iter_all t (fun k _ -> seen := k :: !seen);
       let l = List.rev !seen in
       l = List.sort_uniq Int64.compare (List.map Int64.of_int keys))
+
+(* The on-disk node format, checked against the reference codec in
+   [Oracle]: a tree built through the public API must leave pages that
+   the reference decoder reads as the entries the tree returns, and that
+   the reference encoder reproduces byte for byte. A bulk phase of
+   1200 keys with 1013..1024-byte payloads (at most three per leaf, so
+   more than 341 leaves) guarantees leaf and interior splits; random
+   inserts, replacements and deletes with 0..1024-byte payloads follow. *)
+type bt_op = Put of int * int | Del of int
+
+let payload_of k len = String.init len (fun i -> Char.chr ((k + (i * 13)) land 0xFF))
+
+let btree_script_gen =
+  let open QCheck.Gen in
+  let bulk =
+    map2
+      (List.map2 (fun k len -> Put (k, len)))
+      (shuffle_l (List.init 1200 Fun.id))
+      (list_repeat 1200 (int_range 1013 1024))
+  in
+  let op =
+    frequency
+      [
+        (3, map2 (fun k len -> Put (k, len)) (int_bound 1499) (int_bound Minidb.Btree.max_payload));
+        (1, map (fun k -> Del k) (int_bound 1499));
+      ]
+  in
+  map2 ( @ ) bulk (list_size (int_range 50 300) op)
+
+let raw_page p pg =
+  Minidb.Pager.read_page p pg (fun addr ->
+      Api.read_string (Minidb.Pager.ctx p) addr Minidb.Pager.page_size)
+
+let prop_btree_on_disk_format =
+  QCheck.Test.make ~count:4 ~name:"btree: pages match the reference codec"
+    (QCheck.make btree_script_gen)
+    (fun script ->
+      let t, p = mk_tree () in
+      let reference = Hashtbl.create 1024 in
+      List.iter
+        (function
+          | Put (k, len) ->
+              let payload = payload_of k len in
+              Minidb.Btree.insert t ~key:(Int64.of_int k) ~payload;
+              Hashtbl.replace reference (Int64.of_int k) payload
+          | Del k ->
+              ignore (Minidb.Btree.delete t (Int64.of_int k));
+              Hashtbl.remove reference (Int64.of_int k))
+        script;
+      let pages = Array.init (Minidb.Pager.page_count p) (raw_page p) in
+      let reencodes raw =
+        let s = Oracle.encode_node (Oracle.decode_node raw) in
+        s ^ String.make (Minidb.Pager.page_size - String.length s) '\000' = raw
+      in
+      let rec entries pg =
+        match Oracle.decode_node pages.(pg) with
+        | Oracle.Leaf { entries; _ } -> entries
+        | Oracle.Interior { first; seps } ->
+            entries first @ List.concat_map (fun (_, child) -> entries child) seps
+      in
+      (* the leaf chain, followed through the reference [next] links *)
+      let rec leftmost pg =
+        match Oracle.decode_node pages.(pg) with
+        | Oracle.Leaf _ -> pg
+        | Oracle.Interior { first; _ } -> leftmost first
+      in
+      let rec chain pg =
+        match Oracle.decode_node pages.(pg) with
+        | Oracle.Leaf { entries; next } -> entries @ if next = 0 then [] else chain (next - 1)
+        | Oracle.Interior _ -> failwith "leaf chain reaches an interior node"
+      in
+      let returned = ref [] in
+      Minidb.Btree.iter_all t (fun k v -> returned := (k, v) :: !returned);
+      let returned = List.rev !returned in
+      let root = Minidb.Btree.root t in
+      Minidb.Btree.depth t >= 3
+      && Array.for_all reencodes pages
+      && entries root = returned
+      && chain (leftmost root) = returned
+      && returned
+         = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) reference []))
+
+(* A damaged node header fails closed with a named error instead of an
+   out-of-bounds host access. *)
+let test_btree_corrupt_node () =
+  List.iter
+    (fun n ->
+      let t, p = mk_tree () in
+      for i = 1 to n do
+        Minidb.Btree.insert t ~key:(Int64.of_int i) ~payload:(String.make 40 'x')
+      done;
+      let root = Minidb.Btree.root t in
+      Minidb.Pager.read_page p root (fun addr ->
+          Api.write_u16 (Minidb.Pager.ctx p) (addr + 1) 0xFFFF);
+      Alcotest.check_raises
+        (Printf.sprintf "corrupt root after %d inserts" n)
+        (Types.Error (Printf.sprintf "btree: corrupt node on page %d" root))
+        (fun () -> ignore (Minidb.Btree.find t 1L)))
+    [ 10 (* root is a leaf *); 500 (* root is an interior *) ]
+
+(* Page-sized host buffers go straight to the major heap, so a node
+   read or write that allocates one shows up as direct major words
+   (allocated in the major heap, not promoted). The staged codec
+   allocates none: finds and same-size payload replacements must stay
+   far below one page (512 words) per op. *)
+let test_btree_no_page_garbage () =
+  let t, _ = mk_tree () in
+  let nkeys = 200 in
+  let payloads =
+    Array.init 2 (fun v -> Array.init nkeys (fun k -> payload_of (k + v) 100))
+  in
+  for k = 0 to nkeys - 1 do
+    Minidb.Btree.insert t ~key:(Int64.of_int k) ~payload:payloads.(0).(k)
+  done;
+  let round v =
+    for k = 0 to nkeys - 1 do
+      ignore (Minidb.Btree.find t (Int64.of_int k));
+      Minidb.Btree.insert t ~key:(Int64.of_int k) ~payload:payloads.(v).(k)
+    done
+  in
+  round 1;
+  let _, promoted0, major0 = Gc.counters () in
+  for i = 0 to 4 do
+    round (i land 1)
+  done;
+  let _, promoted1, major1 = Gc.counters () in
+  let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+  let per_op = direct /. float_of_int (2 * 5 * nkeys) in
+  check_bool (Printf.sprintf "%.1f direct major words per op < 64" per_op) true (per_op < 64.)
 
 (* --- db ------------------------------------------------------------------------- *)
 
@@ -579,6 +731,7 @@ let qsuite =
       prop_record_roundtrip;
       prop_btree_matches_map;
       prop_btree_iter_sorted;
+      prop_btree_on_disk_format;
       prop_journal_modes_equivalent;
     ]
 
@@ -602,6 +755,7 @@ let () =
           Alcotest.test_case "rollback new pages" `Quick test_pager_rollback_drops_new_pages;
           Alcotest.test_case "rollback spilled" `Quick test_pager_rollback_spilled_pages;
           Alcotest.test_case "nested txn" `Quick test_pager_nested_txn_rejected;
+          Alcotest.test_case "close frees frames" `Quick test_pager_close_frees_frames;
         ] );
       ( "wal",
         [
@@ -619,6 +773,8 @@ let () =
           Alcotest.test_case "delete" `Quick test_btree_delete;
           Alcotest.test_case "min/max" `Quick test_btree_min_max;
           Alcotest.test_case "payload cap" `Quick test_btree_payload_cap;
+          Alcotest.test_case "corrupt node" `Quick test_btree_corrupt_node;
+          Alcotest.test_case "no page garbage" `Quick test_btree_no_page_garbage;
         ] );
       ( "db",
         [
