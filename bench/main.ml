@@ -267,41 +267,47 @@ let read_flat_json path =
   close_in ic;
   parse_flat_json s
 
-(* The per-edge latency analogue of the hw suite's golden-cycles guard:
-   the simulator is deterministic, so every percentile must match the
-   checked-in golden file bit-for-bit at the same --n. *)
-let latency_check_golden path ~n rows =
+(* Every golden gate: the simulator is deterministic, so each measured
+   row must equal the checked-in value exactly, and the measured and
+   golden key sets must agree both ways. [target] is the bench command
+   line that regenerates the file; [what] names the guarded values. *)
+let check_golden ~target ~what path rows =
+  let regen = Printf.sprintf "  dune exec bench/main.exe -- %s --write-golden %s\n" target path in
   if not (Sys.file_exists path) then begin
-    Printf.printf
-      "GOLDEN FILE MISSING: %s\nGenerate it with:\n\
-      \  dune exec bench/main.exe -- fig6 --latency --n %d --write-golden %s\n"
-      path n path;
+    fprintf "GOLDEN FILE MISSING: %s\nGenerate it with:\n%s" path regen;
     exit 1
   end;
   let golden = read_flat_json path in
-  let drift = ref [] in
-  List.iter
-    (fun (key, v) ->
-      match List.assoc_opt key golden with
-      | Some g when g = v -> ()
-      | Some g -> drift := Printf.sprintf "%s: golden %d, measured %d" key g v :: !drift
-      | None -> drift := Printf.sprintf "%s: missing from golden file" key :: !drift)
-    rows;
-  List.iter
-    (fun (key, _) ->
-      if not (List.mem_assoc key rows) then
-        drift := Printf.sprintf "%s: in golden file but edge not measured" key :: !drift)
-    golden;
-  if !drift <> [] then begin
-    fprintf "\nGOLDEN LATENCY DRIFT vs %s:\n" path;
-    List.iter (fprintf "  %s\n") (List.rev !drift);
-    fprintf
-      "If the drift is an intentional cost-model or stack change, recalibrate with:\n\
-      \  dune exec bench/main.exe -- fig6 --latency --n %d --write-golden %s\n"
-      n path;
+  let drift =
+    List.filter_map
+      (fun (key, v) ->
+        match List.assoc_opt key golden with
+        | Some g when g = v -> None
+        | Some g -> Some (Printf.sprintf "%s: golden %d, measured %d" key g v)
+        | None -> Some (Printf.sprintf "%s: missing from golden file" key))
+      rows
+    @ List.filter_map
+        (fun (key, _) ->
+          if List.mem_assoc key rows then None
+          else Some (Printf.sprintf "%s: in golden file but not measured" key))
+        (List.rev golden)
+  in
+  if drift <> [] then begin
+    fprintf "\nGOLDEN DRIFT in %s vs %s:\n" what path;
+    List.iter (fprintf "  %s\n") drift;
+    fprintf "If the drift is an intentional model or stack change, recalibrate with:\n%s" regen;
     exit 1
   end;
-  fprintf "\ngolden check OK: per-edge latency percentiles match %s\n" path
+  fprintf "\ngolden check OK: %s match %s\n" what path
+
+(* --write-golden PATH and --golden PATH for one target's flat rows. *)
+let golden_gate ~target ~what ?golden ?write_golden rows =
+  Option.iter
+    (fun path ->
+      write_flat_json path rows;
+      fprintf "wrote golden %s to %s\n" what path)
+    write_golden;
+  Option.iter (fun path -> check_golden ~target ~what path rows) golden
 
 let fig6 ?(n = 150) ?(attrib = false) ?(latency = false) ?(hdr = false)
     ?(lat_out = "BENCH_latency.json") ?golden ?write_golden () =
@@ -411,12 +417,9 @@ let fig6 ?(n = 150) ?(attrib = false) ?(latency = false) ?(hdr = false)
           close_out oc;
           fprintf "wrote HdrHistogram percentile dump to %s\n" hdr_out)
     end;
-    (match write_golden with
-    | Some path ->
-        write_flat_json path rows;
-        fprintf "wrote golden per-edge latencies (--n %d) to %s\n" n path
-    | None -> ());
-    match golden with Some path -> latency_check_golden path ~n rows | None -> ()
+    golden_gate
+      ~target:(Printf.sprintf "fig6 --latency --n %d" n)
+      ~what:"per-edge latency percentiles" ?golden ?write_golden rows
   end
 
 (* --- Figure 7: NGINX download latency vs transfer size ---------------------- *)
@@ -957,49 +960,15 @@ let hw_write_json path rows =
   Printf.fprintf oc "}\n";
   close_out oc
 
-let hw_write_golden path rows =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc "  \"%s.cycles\": %d,\n  \"%s.faults\": %d,\n  \"%s.wrpkru\": %d%s\n"
-        r.hw_name r.hw_cycles r.hw_name r.hw_faults r.hw_name r.hw_wrpkru
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "}\n";
-  close_out oc
-
-let hw_check_golden path rows =
-  if not (Sys.file_exists path) then begin
-    Printf.printf "GOLDEN FILE MISSING: %s\nGenerate it with:\n  dune exec bench/main.exe -- hw --write-golden %s\n" path path;
-    exit 1
-  end;
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let golden = parse_flat_json (really_input_string ic len) in
-  close_in ic;
-  let drift = ref [] in
-  List.iter
+let hw_golden_rows rows =
+  List.concat_map
     (fun r ->
-      List.iter
-        (fun (field, v) ->
-          let key = r.hw_name ^ "." ^ field in
-          match List.assoc_opt key golden with
-          | Some g when g = v -> ()
-          | Some g -> drift := Printf.sprintf "%s: golden %d, measured %d" key g v :: !drift
-          | None -> drift := Printf.sprintf "%s: missing from golden file" key :: !drift)
-        [ ("cycles", r.hw_cycles); ("faults", r.hw_faults); ("wrpkru", r.hw_wrpkru) ])
-    rows;
-  if !drift <> [] then begin
-    fprintf "\nGOLDEN CYCLE DRIFT vs %s:\n" path;
-    List.iter (fprintf "  %s\n") (List.rev !drift);
-    fprintf
-      "If the drift is an intentional cost-model change, recalibrate with:\n\
-      \  dune exec bench/main.exe -- hw --write-golden %s\n"
-      path;
-    exit 1
-  end;
-  fprintf "\ngolden check OK: simulated cycles match %s\n" path
+      [
+        (r.hw_name ^ ".cycles", r.hw_cycles);
+        (r.hw_name ^ ".faults", r.hw_faults);
+        (r.hw_name ^ ".wrpkru", r.hw_wrpkru);
+      ])
+    rows
 
 let hw ?(out = "BENCH_hw.json") ?golden ?write_golden () =
   heading "Software TLB: wall-clock of the simulator (simulated cycles unchanged)";
@@ -1015,8 +984,8 @@ let hw ?(out = "BENCH_hw.json") ?golden ?write_golden () =
     rows;
   hw_write_json out rows;
   fprintf "wrote %s\n" out;
-  Option.iter (fun path -> hw_write_golden path rows; fprintf "wrote %s\n" path) write_golden;
-  Option.iter (fun path -> hw_check_golden path rows) golden
+  golden_gate ~target:"hw" ~what:"simulated cycles" ?golden ?write_golden
+    (hw_golden_rows rows)
 
 (* --- trace: event capture of the Fig. 2 write path -------------------------------- *)
 
@@ -1536,40 +1505,6 @@ let smp_json_rows rows =
           (Array.mapi (fun c d -> (key (Printf.sprintf "core%d_cycles" c), d)) r.smp_core_deltas))
     rows
 
-let smp_check_golden path rows =
-  if not (Sys.file_exists path) then begin
-    Printf.printf
-      "GOLDEN FILE MISSING: %s\nGenerate it with:\n\
-      \  dune exec bench/main.exe -- smp --write-golden %s\n"
-      path path;
-    exit 1
-  end;
-  let golden = read_flat_json path in
-  let drift = ref [] in
-  List.iter
-    (fun (key, v) ->
-      match List.assoc_opt key golden with
-      | Some g when g = v -> ()
-      | Some g -> drift := Printf.sprintf "%s: golden %d, measured %d" key g v :: !drift
-      | None -> drift := Printf.sprintf "%s: missing from golden file" key :: !drift)
-    rows;
-  List.iter
-    (fun (key, _) ->
-      if not (List.mem_assoc key rows) then
-        drift := Printf.sprintf "%s: in golden file but not measured" key :: !drift)
-    golden;
-  if !drift <> [] then begin
-    fprintf "\nGOLDEN SMP DRIFT vs %s:\n" path;
-    List.iter (fprintf "  %s\n") (List.rev !drift);
-    fprintf
-      "If the drift is an intentional cost-model, scheduler or stack change,\n\
-       recalibrate with:\n\
-      \  dune exec bench/main.exe -- smp --write-golden %s\n"
-      path;
-    exit 1
-  end;
-  fprintf "\ngolden check OK: scaling curve matches %s\n" path
-
 let smp ?(out = "BENCH_smp.json") ?golden ?write_golden () =
   heading
     (Printf.sprintf "SMP scale-out: %d siege connections over 1/2/4/8 simulated cores"
@@ -1604,12 +1539,7 @@ let smp ?(out = "BENCH_smp.json") ?golden ?write_golden () =
   let json = smp_json_rows rows in
   write_flat_json out json;
   fprintf "wrote %s\n" out;
-  (match write_golden with
-  | Some path ->
-      write_flat_json path json;
-      fprintf "wrote golden scaling curve to %s\n" path
-  | None -> ());
-  match golden with Some path -> smp_check_golden path json | None -> ()
+  golden_gate ~target:"smp" ~what:"scaling curve values" ?golden ?write_golden json
 
 (* --- sendfile: zero-copy vs copy serving -> BENCH_zerocopy.json -------------------- *)
 
@@ -1703,39 +1633,6 @@ let zc_json_rows rows =
           r.zc_cats)
     rows
 
-let zc_check_golden path rows =
-  if not (Sys.file_exists path) then begin
-    Printf.printf
-      "GOLDEN FILE MISSING: %s\nGenerate it with:\n\
-      \  dune exec bench/main.exe -- sendfile --write-golden %s\n"
-      path path;
-    exit 1
-  end;
-  let golden = read_flat_json path in
-  let drift = ref [] in
-  List.iter
-    (fun (key, v) ->
-      match List.assoc_opt key golden with
-      | Some g when g = v -> ()
-      | Some g -> drift := Printf.sprintf "%s: golden %d, measured %d" key g v :: !drift
-      | None -> drift := Printf.sprintf "%s: missing from golden file" key :: !drift)
-    rows;
-  List.iter
-    (fun (key, _) ->
-      if not (List.mem_assoc key rows) then
-        drift := Printf.sprintf "%s: in golden file but not measured" key :: !drift)
-    golden;
-  if !drift <> [] then begin
-    fprintf "\nGOLDEN ZEROCOPY DRIFT vs %s:\n" path;
-    List.iter (fprintf "  %s\n") (List.rev !drift);
-    fprintf
-      "If the drift is an intentional cost-model or stack change, recalibrate with:\n\
-      \  dune exec bench/main.exe -- sendfile --write-golden %s\n"
-      path;
-    exit 1
-  end;
-  fprintf "\ngolden check OK: zero-copy decomposition matches %s\n" path
-
 let sendfile ?(out = "BENCH_zerocopy.json") ?golden ?write_golden () =
   heading
     (Printf.sprintf "Zero-copy sendfile: %d requests for a %d KiB file, copy vs grant-and-forward"
@@ -1778,12 +1675,8 @@ let sendfile ?(out = "BENCH_zerocopy.json") ?golden ?write_golden () =
   let json = zc_json_rows rows in
   write_flat_json out json;
   fprintf "wrote %s\n" out;
-  (match write_golden with
-  | Some path ->
-      write_flat_json path json;
-      fprintf "wrote golden zero-copy decomposition to %s\n" path
-  | None -> ());
-  match golden with Some path -> zc_check_golden path json | None -> ()
+  golden_gate ~target:"sendfile" ~what:"zero-copy decomposition values" ?golden ?write_golden
+    json
 
 (* --- keys: key virtualisation under multi-tenant pressure -> BENCH_keys.json ------ *)
 
@@ -1941,40 +1834,6 @@ let keys_json_rows rows =
       ])
     rows
 
-let keys_check_golden path rows =
-  if not (Sys.file_exists path) then begin
-    Printf.printf
-      "GOLDEN FILE MISSING: %s\nGenerate it with:\n\
-      \  dune exec bench/main.exe -- keys --write-golden %s\n"
-      path path;
-    exit 1
-  end;
-  let golden = read_flat_json path in
-  let drift = ref [] in
-  List.iter
-    (fun (key, v) ->
-      match List.assoc_opt key golden with
-      | Some g when g = v -> ()
-      | Some g -> drift := Printf.sprintf "%s: golden %d, measured %d" key g v :: !drift
-      | None -> drift := Printf.sprintf "%s: missing from golden file" key :: !drift)
-    rows;
-  List.iter
-    (fun (key, _) ->
-      if not (List.mem_assoc key rows) then
-        drift := Printf.sprintf "%s: in golden file but not measured" key :: !drift)
-    golden;
-  if !drift <> [] then begin
-    fprintf "\nGOLDEN KEYS DRIFT vs %s:\n" path;
-    List.iter (fprintf "  %s\n") (List.rev !drift);
-    fprintf
-      "If the drift is an intentional cost-model, keymux or lifecycle change,\n\
-       recalibrate with:\n\
-      \  dune exec bench/main.exe -- keys --write-golden %s\n"
-      path;
-    exit 1
-  end;
-  fprintf "\ngolden check OK: key-pressure curve matches %s\n" path
-
 let keys ?(out = "BENCH_keys.json") ?golden ?write_golden () =
   heading
     (Printf.sprintf
@@ -2006,12 +1865,7 @@ let keys ?(out = "BENCH_keys.json") ?golden ?write_golden () =
   let json = keys_json_rows rows in
   write_flat_json out json;
   fprintf "wrote %s\n" out;
-  (match write_golden with
-  | Some path ->
-      write_flat_json path json;
-      fprintf "wrote golden key-pressure curve to %s\n" path
-  | None -> ());
-  match golden with Some path -> keys_check_golden path json | None -> ()
+  golden_gate ~target:"keys" ~what:"key-pressure curve values" ?golden ?write_golden json
 
 (* --- driver ---------------------------------------------------------------------- *)
 

@@ -44,10 +44,9 @@ type t = {
   mutable next_cid : Types.cid;
   mutable free_cids : Types.cid list;  (* cids recycled by destroy_cubicle *)
   symbols : (string, export) Hashtbl.t;
-  mutable next_key : int;
-  mutable free_keys : int list;  (* returned dedicated window tags *)
-  virtualise : bool;  (* libmpk-style tag virtualisation (paper §8) *)
-  keymux : Hw.Keymux.t option;  (* Some iff [virtualise] *)
+  keymux : Hw.Keymux.t;
+      (* the one key allocator; it evicts iff the monitor virtualises
+         tags (paper §8), the only record of that choice *)
   mutable cur : Types.cid;
   page_allocs : (int, int) Hashtbl.t;  (* base page -> npages per cubicle-page alloc *)
   cubicle_runs : (Types.cid, (int * int) list ref) Hashtbl.t;  (* every page run per cubicle *)
@@ -88,18 +87,17 @@ let get t cid =
 
 let mpk_on t = match t.protection with Types.Mpk | Types.Full -> true | _ -> false
 
-(* libmpk-style tag virtualisation: a cubicle's key may be virtual
-   (>= 16); {!Hw.Keymux} maps it on demand to one of the 14 physical
-   tags, evicting the least recently used binding when none is free.
-   The eviction hook installed in [create] walks the evicted cubicle's
-   pages back to the monitor tag so a reassigned physical key can never
-   leak access — this scrubbing (plus per-core PKRU shootdowns and the
-   libmpk reassignment cost, both priced inside Keymux) is the
-   virtualisation cost the paper alludes to when it points at libmpk. *)
-let phys_of t (c : cubicle) =
-  match t.keymux with
-  | Some km when Hw.Keymux.is_virtual c.key -> Hw.Keymux.phys_of km c.key
-  | _ -> c.key
+(* Without virtualisation a cubicle's key is its pinned physical tag
+   and passes straight through. With libmpk-style tag virtualisation it
+   is virtual (>= 16); {!Hw.Keymux} maps it on demand to one of the 14
+   physical tags, evicting the least recently used binding when none is
+   free. The eviction hook installed in [create] walks the evicted
+   cubicle's pages back to the monitor tag so a reassigned physical key
+   can never leak access — this scrubbing (plus per-core PKRU
+   shootdowns and the libmpk reassignment cost, both priced inside
+   Keymux) is the virtualisation cost the paper alludes to when it
+   points at libmpk. *)
+let phys_of t (c : cubicle) = Hw.Keymux.phys_of t.keymux c.key
 
 let cub_key t cid = phys_of t (get t cid)
 
@@ -123,12 +121,15 @@ let pkru_for t cid =
    cubicle instead (re-faulting its key in if it was evicted). A
    fully-permissive register belongs to trusted context and is
    restored verbatim, as is anything saved while a trusted cubicle was
-   current (host-side drivers may narrow PKRU without moving [cur]);
-   without virtualisation tags are never rebound and the raw restore
-   stays exact. *)
+   current (host-side drivers may narrow PKRU without moving [cur]).
+   Without virtualisation a tag is rebound only after a cubicle
+   teardown or a dedicated-window close, and both scrub it from every
+   live register. The raw restore stays there (per-crossing cost is
+   unchanged), so a saved value can still re-admit such a tag if the
+   nested run tore its owner down. *)
 let restore_pkru t ~saved_cur ~saved_pkru =
   if
-    t.virtualise
+    Hw.Keymux.evicts t.keymux
     && saved_pkru <> Hw.Pkru.all_allow
     && (match Hashtbl.find_opt t.cubs saved_cur with
        | Some c -> c.kind <> Types.Trusted
@@ -155,7 +156,7 @@ let handle_fault t (fault : Hw.Fault.t) =
       if
         fault.access = Hw.Fault.Exec
         && not
-             (t.virtualise
+             (Hw.Keymux.evicts t.keymux
              && Mm.Page_meta.owner t.meta (Hw.Addr.page_of fault.addr) = Some t.cur)
       then
         (* CFI: a cross-cubicle instruction fetch is never resolved by
@@ -277,10 +278,7 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
       next_cid = monitor_cid + 1;
       free_cids = [];
       symbols = Hashtbl.create 256;
-      next_key = 1;
-      free_keys = [];
-      virtualise;
-      keymux = (if virtualise then Some (Hw.Keymux.create cpu) else None);
+      keymux = Hw.Keymux.create ~evict:virtualise cpu;
       cur = monitor_cid;
       page_allocs = Hashtbl.create 64;
       cubicle_runs = Hashtbl.create 32;
@@ -294,28 +292,26 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
      cubicle's fault-in forced the eviction. The walk covers only the
      victim's own page runs ([owned_pages]). The page-table hook fires
      the cross-core TLB shootdowns; Keymux itself scrubs the evicted
-     tag from every core's PKRU and prices those wrpkrus. *)
-  (match t.keymux with
-  | Some km ->
-      Hw.Keymux.set_evict_hook km
-        (Some
-           (fun ~cid ~vkey:_ ~phys ->
-             let cost = Hw.Cpu.cost cpu in
-             let pt = Hw.Cpu.page_table cpu in
-             let count = ref 0 in
-             if Hashtbl.mem t.cubs cid then
-               List.iter
-                 (fun page ->
-                   if Hw.Page_table.key pt page = phys then begin
-                     Hw.Cost.charge_cat cost Telemetry.Attrib.Keymux
-                       cost.Hw.Cost.model.Hw.Cost.pkey_set;
-                     Hw.Page_table.set_key pt page monitor_key;
-                     emit t (Telemetry.Event.Retag { page; to_key = monitor_key });
-                     incr count
-                   end)
-                 (owned_pages t cid);
-             !count))
-  | None -> ());
+     tag from every core's PKRU and prices those wrpkrus. Without
+     virtualisation nothing is ever evicted and the hook never runs. *)
+  Hw.Keymux.set_evict_hook t.keymux
+    (Some
+       (fun ~cid ~vkey:_ ~phys ->
+         let cost = Hw.Cpu.cost cpu in
+         let pt = Hw.Cpu.page_table cpu in
+         let count = ref 0 in
+         if Hashtbl.mem t.cubs cid then
+           List.iter
+             (fun page ->
+               if Hw.Page_table.key pt page = phys then begin
+                 Hw.Cost.charge_cat cost Telemetry.Attrib.Keymux
+                   cost.Hw.Cost.model.Hw.Cost.pkey_set;
+                 Hw.Page_table.set_key pt page monitor_key;
+                 emit t (Telemetry.Event.Retag { page; to_key = monitor_key });
+                 incr count
+               end)
+             (owned_pages t cid);
+         !count));
   (* Monitor's own pages: present, trusted key. *)
   for p = 0 to monitor_reserved_pages - 1 do
     Hw.Cpu.map_page cpu p Hw.Page_table.perm_rw ~key:monitor_key
@@ -397,27 +393,14 @@ let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
     | Types.Trusted -> monitor_key
     | Types.Shared -> shared_key
     | Types.Isolated -> (
-        match t.keymux with
-        | Some km ->
-            (* virtual key: bound to a physical tag on demand *)
-            Hw.Keymux.alloc km ~cid
-        | None -> (
-            match t.free_keys with
-            | k :: rest ->
-                t.free_keys <- rest;
-                k
-            | [] ->
-                if t.next_key >= shared_key then begin
-                  undo_cid ();
-                  Types.error
-                    "out of MPK protection keys (15 in use); enable tag virtualisation \
-                     (libmpk-style) to run more isolated cubicles"
-                end
-                else begin
-                  let k = t.next_key in
-                  t.next_key <- t.next_key + 1;
-                  k
-                end))
+        (* a pinned physical tag, or a virtual key bound on demand *)
+        match Hw.Keymux.alloc t.keymux ~cid with
+        | Some k -> k
+        | None ->
+            undo_cid ();
+            Types.error
+              "out of MPK protection keys (15 in use); enable tag virtualisation \
+               (libmpk-style) to run more isolated cubicles")
   in
   let cub =
     {
@@ -460,10 +443,7 @@ let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
     Hashtbl.remove t.cubs cid;
     Hashtbl.remove t.by_name name;
     (match kind with
-    | Types.Isolated -> (
-        match t.keymux with
-        | Some km -> Hw.Keymux.free km key
-        | None -> t.free_keys <- key :: t.free_keys)
+    | Types.Isolated -> Hw.Keymux.free t.keymux key
     | Types.Trusted | Types.Shared -> ());
     undo_cid ();
     raise e
@@ -474,7 +454,7 @@ let live_cids t =
   List.sort compare (Hashtbl.fold (fun cid _ acc -> cid :: acc) t.cubs [])
 
 let free_page_count t = Mm.Page_alloc.free_pages t.palloc
-let keymux t = t.keymux
+let keymux t = if Hw.Keymux.evicts t.keymux then Some t.keymux else None
 let cubicle_name t cid = (get t cid).name
 let cubicle_kind t cid = (get t cid).kind
 let cubicle_key t cid = cub_key t cid
@@ -864,23 +844,15 @@ let window_grants ?(access = Window.Read) t cid ~peer ~ptr ~size =
     (fun w -> Window.is_open_for w peer && Window.covers w ~access ~ptr ~size)
     (Window.live_windows (get t cid).windows)
 
-let alloc_dedicated_key t =
-  if t.virtualise then
+let alloc_dedicated_key t ~cid =
+  if Hw.Keymux.evicts t.keymux then
     Types.error "window-specific tags are not supported with tag virtualisation";
-  match t.free_keys with
-  | k :: rest ->
-      t.free_keys <- rest;
-      k
-  | [] ->
-      if t.next_key >= shared_key then
-        Types.error
-          "out of MPK protection keys: window-specific tags consume one tag per \
-           shared buffer and exhaust the 16 keys quickly (paper §5.6)"
-      else begin
-        let k = t.next_key in
-        t.next_key <- t.next_key + 1;
-        k
-      end
+  match Hw.Keymux.alloc t.keymux ~cid with
+  | Some k -> k
+  | None ->
+      Types.error
+        "out of MPK protection keys: window-specific tags consume one tag per \
+         shared buffer and exhaust the 16 keys quickly (paper §5.6)"
 
 (* ERIM/Hodor-style window-specific tags (contrasted in §5.6, suggested
    as a hybrid in §8): the window's pages get a tag of their own, which
@@ -897,7 +869,7 @@ let window_open_dedicated t cid wid other =
     match w.Window.dedicated_key with
     | Some k -> k
     | None ->
-        let k = alloc_dedicated_key t in
+        let k = alloc_dedicated_key t ~cid in
         Window.set_dedicated_key w (Some k);
         let owner = get t cid in
         owner.extra_keys <- k :: owner.extra_keys;
@@ -922,15 +894,18 @@ let window_close_dedicated t cid wid other =
       let grantee = get t other in
       grantee.extra_keys <- List.filter (fun k -> k <> key) grantee.extra_keys;
       (* last grantee gone: return the tag and the pages to the owner *)
-      if Bitset.is_empty w.Window.opened then begin
+      let last = Bitset.is_empty w.Window.opened in
+      if last then begin
         let owner = get t cid in
         owner.extra_keys <- List.filter (fun k -> k <> key) owner.extra_keys;
         Window.set_dedicated_key w None;
-        if mpk_on t then retag_window_pages t w ~to_key:owner.key;
-        t.free_keys <- key :: t.free_keys
+        if mpk_on t then retag_window_pages t w ~to_key:owner.key
       end;
       if mpk_on t && (t.cur = cid || t.cur = other) then
-        Hw.Cpu.wrpkru t.m_cpu (pkru_for t t.cur)
+        Hw.Cpu.wrpkru t.m_cpu (pkru_for t t.cur);
+      (* freed after the refresh, so only stale remote registers are
+         scrubbed (and charged) *)
+      if last then Hw.Keymux.free t.keymux key
 
 (* Dynamic-plane observability: record a checked memory access that
    touches pages owned by a different cubicle. Only runs while tracing
@@ -1014,27 +989,24 @@ let destroy_cubicle t cid =
             (fun _ oc -> oc.extra_keys <- List.filter (fun k' -> k' <> k) oc.extra_keys)
             t.cubs;
           Window.set_dedicated_key w None;
-          t.free_keys <- k :: t.free_keys
+          Hw.Keymux.free t.keymux k
       | None -> ());
       emit_window t cid Telemetry.Event.Destroy ~wid:w.Window.wid ())
     (Window.live_windows c.windows);
   (* scrub and release every page run *)
   release_runs t cid;
-  (* recycle the key: a virtual key's binding is dropped without the
-     eviction price (the pages were just scrubbed and unmapped) and
-     both the physical slot and the vkey number become reusable *)
+  (* recycle the key: its binding is dropped without the eviction price
+     (the pages were just scrubbed and unmapped), the tag is scrubbed
+     from every core still caching it, and the physical slot (and a
+     virtual key's number) becomes reusable *)
   (match c.kind with
-  | Types.Isolated -> (
-      match t.keymux with
-      | Some km -> Hw.Keymux.free km c.key
-      | None -> t.free_keys <- c.key :: t.free_keys)
+  | Types.Isolated -> Hw.Keymux.free t.keymux c.key
   | Types.Shared | Types.Trusted -> ());
   c.heaps <- [];
   Hashtbl.remove t.cubs cid;
   Hashtbl.remove t.by_name c.name;
   t.free_cids <- cid :: t.free_cids
 
-let tag_evictions t =
-  match t.keymux with Some km -> (Hw.Keymux.stats km).Hw.Keymux.evictions | None -> 0
+let tag_evictions t = (Hw.Keymux.stats t.keymux).Hw.Keymux.evictions
 let page_owner t page = Mm.Page_meta.owner t.meta page
 let retag_count t = Stats.retags t.stats

@@ -76,10 +76,13 @@ val current : t -> Types.cid
 val create_cubicle :
   t -> name:string -> kind:Types.kind -> heap_pages:int -> stack_pages:int -> Types.cid
 (** Allocates a cubicle id, an MPK key, a stack and an initial heap.
-    Raises {!Types.Error} when the 15 hardware tags are exhausted,
-    unless the monitor was created with [~virtualise:true] (libmpk-style
-    tag virtualisation, the paper's §8 suggestion), in which case
-    cubicles receive virtual keys mapped to physical ones on demand. *)
+    Every key comes from the monitor's one {!Hw.Keymux}. Without
+    virtualisation an isolated cubicle's key is the lowest free
+    physical tag, pinned until {!destroy_cubicle}, and {!Types.Error}
+    is raised when all 14 are in use (the 15th isolated cubicle). With
+    [~virtualise:true] (libmpk-style tag virtualisation, the paper's §8
+    suggestion) cubicles receive virtual keys mapped to physical ones
+    on demand, and allocation never runs dry. *)
 
 val ncubicles : t -> int
 (** Number of {e live} cubicles (monitor included). After a
@@ -95,14 +98,17 @@ val free_page_count : t -> int
     its starting value. *)
 
 val keymux : t -> Hw.Keymux.t option
-(** The key-virtualisation plane, present iff the monitor was created
-    with [~virtualise:true]. *)
+(** The key allocator, exposed only when it virtualises (the monitor
+    was created with [~virtualise:true]). Without virtualisation the
+    same {!Hw.Keymux} pins physical tags, never evicts, and this is
+    [None]. *)
 
 val cubicle_name : t -> Types.cid -> string
 val cubicle_kind : t -> Types.cid -> Types.kind
 val cubicle_key : t -> Types.cid -> int
-(** The cubicle's {e physical} MPK key (with [virtualise], resolving a
-    virtual key to a physical one on demand, possibly evicting). *)
+(** The cubicle's {e physical} MPK key: its pinned tag without
+    virtualisation; with [virtualise], its virtual key resolved to a
+    physical one on demand, possibly evicting. *)
 
 val cubicle_raw_key : t -> Types.cid -> int
 (** The cubicle's stored key — virtual under [virtualise] — without
@@ -242,8 +248,9 @@ val owned_pages : t -> Types.cid -> int list
 val retag_count : t -> int
 
 val tag_evictions : t -> int
-(** Physical-key evictions performed by tag virtualisation
-    ([(Keymux.stats km).evictions]; 0 without [virtualise]). *)
+(** Physical-key evictions performed by the key allocator
+    ([(Keymux.stats km).evictions]); always 0 without [virtualise],
+    where tags are pinned and never evicted. *)
 
 val destroy_cubicle : t -> Types.cid -> unit
 (** Unload a cubicle (the loader's [dlclose] counterpart): removes its
@@ -263,6 +270,8 @@ val window_open_dedicated : t -> Types.cid -> Types.wid -> Types.cid -> unit
 
 val window_close_dedicated : t -> Types.cid -> Types.wid -> Types.cid -> unit
 (** Revoke a dedicated grant; when the last grantee goes, the tag is
-    returned to the pool and the pages to their owner. *)
+    returned to the pool and the pages to their owner. A running owner
+    or grantee has its PKRU rewritten before the tag is freed, so the
+    free scrubs only stale registers on other cores. *)
 
 val dedicated_keys_in_use : t -> int

@@ -248,17 +248,9 @@ let writable w ~addr =
   w.alive
   && List.exists (fun r -> r.perm = RW && addr >= r.ptr && addr < r.ptr + r.size) w.ranges
 
-(* Reference linear scan of the descriptor array (the paper's §5.3
-   step ❸). Kept as the oracle the page index must agree with. *)
-let search_linear table ~klass ~addr =
-  let rec scan inspected = function
-    | [] -> None
-    | w :: rest ->
-        if contains w addr then Some (w, inspected + 1) else scan (inspected + 1) rest
-  in
-  scan 0 (arr_of table klass)
-
-(* Page-indexed lookup, bit-identical to [search_linear]: descriptor
+(* Page-indexed lookup, bit-identical to the paper's linear scan of
+   the class's descriptor array (§5.3 step ❸; the scan lives on as the
+   test oracle [Oracle.search_linear]): descriptor
    arrays are newest-first with strictly descending (never reused)
    wids, so the linear scan's winner is the containing window with the
    largest wid, and the charged "inspected" count is that window's

@@ -10,8 +10,8 @@
     per-table page index (standing sendfile grants make the ACL lookup
     hot); the result — including the charged "descriptors inspected"
     count — is bit-identical to the paper's linear search through the
-    descriptor array for the faulting page's class, which is kept as
-    {!search_linear} for differential testing. *)
+    descriptor array for the faulting page's class, which the test
+    suite keeps as an oracle for differential testing. *)
 
 type perm = R | RW
 (** A grant's permission. [R] lets the peer read the range; [RW] also
@@ -115,11 +115,8 @@ val search : table -> klass:Mm.Page_meta.kind -> addr:int -> (t * int) option
 (** Page-indexed lookup of a live window containing [addr]; also
     returns the number of descriptors a linear scan would have
     inspected so the monitor can charge the same search cost. The
-    result is bit-identical to {!search_linear}. *)
-
-val search_linear : table -> klass:Mm.Page_meta.kind -> addr:int -> (t * int) option
-(** The original linear search of one descriptor array — the oracle
-    {!search} is differentially tested against. *)
+    result is bit-identical to a linear scan of the [klass] descriptor
+    array, newest window first. *)
 
 val set_dedicated_key : t -> int option -> unit
 

@@ -1,15 +1,15 @@
-(* Virtual protection keys multiplexed over the physical MPK tags.
+(* The one allocator of MPK protection keys.
 
    MPK gives the machine 16 keys; CubicleOS reserves one for the
-   monitor (0) and one for shared cubicles (15), capping the system at
-   14 isolated cubicles. The multiplexer lifts the cap libmpk-style:
-   every isolated cubicle owns a *virtual* key (numbered from
-   [Pkru.nkeys] so the two namespaces never collide) and the physical
-   tags [lo..hi] become an LRU cache of key *bindings*. A cubicle's
-   first access after losing its binding faults, the monitor's
-   [pkru_for]/fault path calls {!phys_of}, and the binding is
-   re-established — evicting the least-recently-used resident if the
-   pool is full.
+   monitor (0) and one for shared cubicles (15), leaving 14 tags. With
+   eviction off (classic mode) a key *is* its tag, pinned from [alloc]
+   to [free]. With eviction on, the cap is lifted libmpk-style: every
+   isolated cubicle owns a *virtual* key (numbered from [Pkru.nkeys] so
+   the namespaces never collide) and the tags [lo..hi] become an LRU
+   cache of key *bindings*. A cubicle's first access after losing its
+   binding faults, the monitor's [pkru_for]/fault path calls
+   {!phys_of}, and the binding is re-established — evicting the
+   least-recently-used resident if the pool is full.
 
    Pricing: every fault-in charges [model.key_reassign] (libmpk's
    pkey_mprotect-based reassignment, the >=1100-cycle figure the paper
@@ -17,8 +17,9 @@
    monitor-installed hook retags them back to the monitor tag, charging
    [pkey_set] per page) and scrubs the evicted tag from every core's
    PKRU that still caches it — one [wrpkru] charge plus a TLB shootdown
-   per core. Everything lands under the [Keymux] attribution category,
-   billed to the cubicle whose fault-in triggered the eviction. *)
+   per core. [free] scrubs the same way in both modes. Everything lands
+   under the [Keymux] attribution category, billed to the cubicle whose
+   fault-in (or teardown) triggered the work. *)
 
 type stats = {
   mutable fault_ins : int;
@@ -31,6 +32,7 @@ type t = {
   cpu : Cpu.t;
   lo : int;
   hi : int;
+  evict : bool;  (* false: classic pinned tags, vkey = phys *)
   owner : int array;  (* phys tag -> resident vkey, or -1 *)
   last_used : int array;  (* phys tag -> LRU tick (ticks are unique) *)
   binding : (int, int) Hashtbl.t;  (* vkey -> phys, residents only *)
@@ -44,12 +46,13 @@ type t = {
 
 let is_virtual k = k >= Pkru.nkeys
 
-let create ?(lo = 1) ?(hi = Pkru.nkeys - 2) cpu =
+let create ?(lo = 1) ?(hi = Pkru.nkeys - 2) ~evict cpu =
   if lo < 0 || hi >= Pkru.nkeys || lo > hi then invalid_arg "Keymux.create: bad tag range";
   {
     cpu;
     lo;
     hi;
+    evict;
     owner = Array.make Pkru.nkeys (-1);
     last_used = Array.make Pkru.nkeys 0;
     binding = Hashtbl.create 64;
@@ -61,23 +64,10 @@ let create ?(lo = 1) ?(hi = Pkru.nkeys - 2) cpu =
     stats = { fault_ins = 0; evictions = 0; retag_pages = 0; key_shootdowns = 0 };
   }
 
+let evicts t = t.evict
 let set_evict_hook t h = t.evict_hook <- h
 let stats t = t.stats
 let slots t = t.hi - t.lo + 1
-
-let alloc t ~cid =
-  let vkey =
-    match t.free_vkeys with
-    | v :: rest ->
-        t.free_vkeys <- rest;
-        v
-    | [] ->
-        let v = t.next_vkey in
-        t.next_vkey <- v + 1;
-        v
-  in
-  Hashtbl.replace t.vkey_cid vkey cid;
-  vkey
 
 let resident t vkey = Hashtbl.find_opt t.binding vkey
 let resident_vkey t phys = if t.owner.(phys) >= 0 then Some t.owner.(phys) else None
@@ -89,6 +79,40 @@ let residents t =
     if t.owner.(k) >= 0 then acc := (k, t.owner.(k)) :: !acc
   done;
   !acc
+
+let free_slot t =
+  let found = ref (-1) in
+  for k = t.hi downto t.lo do
+    if t.owner.(k) = -1 then found := k
+  done;
+  !found
+
+let bind t vkey ~phys =
+  t.owner.(phys) <- vkey;
+  Hashtbl.replace t.binding vkey phys
+
+(* A virtual key starts unbound; its first [phys_of] faults it in. A
+   classic key is its own tag, bound here for good: no fault-in, no
+   charge, and [None] once the pool is dry. *)
+let alloc t ~cid =
+  let key =
+    if t.evict then (
+      match t.free_vkeys with
+      | v :: rest ->
+          t.free_vkeys <- rest;
+          v
+      | [] ->
+          let v = t.next_vkey in
+          t.next_vkey <- v + 1;
+          v)
+    else free_slot t
+  in
+  if key < 0 then None
+  else begin
+    if not t.evict then bind t key ~phys:key;
+    Hashtbl.replace t.vkey_cid key cid;
+    Some key
+  end
 
 let[@inline] touch t phys =
   t.tick <- t.tick + 1;
@@ -116,15 +140,15 @@ let scrub_cores t ~phys =
     end
   done
 
-(* Drop a vkey's binding without the page-walk part of the eviction
-   price: the caller is destroying the cubicle and scrubs/unmaps its
-   pages itself, so there is nothing left to retag. The per-core PKRU
-   scrub is NOT skippable, though — a core may still cache the tag
-   from an earlier run of the dead cubicle, and the freed slot is
-   about to be rebound; without the scrub that register would retain
-   access to whatever binds the slot next (the aliasing [scrub_cores]
-   exists to prevent). The physical slot becomes free and the vkey
-   number is recycled for the next [alloc]. *)
+(* Drop a key's binding without the page-walk part of the eviction
+   price: the caller is destroying the cubicle (or closing a dedicated
+   window) and handles its pages itself. The per-core PKRU scrub is
+   NOT skippable, in either mode — a core may still cache the tag from
+   an earlier run of the dead cubicle, and the freed slot is about to
+   be rebound; without the scrub that register would retain access to
+   whatever binds the slot next (the aliasing [scrub_cores] exists to
+   prevent). The physical slot becomes free and a virtual key number is
+   recycled for the next [alloc]. *)
 let free t vkey =
   (match Hashtbl.find_opt t.binding vkey with
   | Some phys ->
@@ -135,7 +159,7 @@ let free t vkey =
   | None -> ());
   if Hashtbl.mem t.vkey_cid vkey then begin
     Hashtbl.remove t.vkey_cid vkey;
-    t.free_vkeys <- vkey :: t.free_vkeys
+    if t.evict then t.free_vkeys <- vkey :: t.free_vkeys
   end
 
 let evict t ~phys =
@@ -148,13 +172,6 @@ let evict t ~phys =
   t.stats.retag_pages <- t.stats.retag_pages + pages;
   scrub_cores t ~phys;
   emit t (Telemetry.Event.Key_evict { cid; vkey; phys; pages })
-
-let free_slot t =
-  let found = ref (-1) in
-  for k = t.hi downto t.lo do
-    if t.owner.(k) = -1 then found := k
-  done;
-  !found
 
 let lru_slot t =
   let best = ref t.lo in
@@ -183,8 +200,7 @@ let phys_of t vkey =
         in
         let cost = Cpu.cost t.cpu in
         Cost.charge_cat cost Telemetry.Attrib.Keymux cost.Cost.model.Cost.key_reassign;
-        t.owner.(slot) <- vkey;
-        Hashtbl.replace t.binding vkey slot;
+        bind t vkey ~phys:slot;
         touch t slot;
         t.stats.fault_ins <- t.stats.fault_ins + 1;
         let cid = match cid_of_vkey t vkey with Some c -> c | None -> -1 in

@@ -1,12 +1,12 @@
-(** Virtual protection keys multiplexed over the physical MPK tags.
-
-    Lifts MPK's 16-key limit the way libmpk does: each isolated cubicle
-    owns a {e virtual} key (numbered from [Pkru.nkeys] up, so the
-    virtual and physical namespaces never collide) and the physical
-    tags [lo..hi] form an LRU cache of bindings. {!phys_of} is the
-    fault-in: it returns the virtual key's current physical tag,
-    binding it on demand and evicting the least-recently-used resident
-    when the pool is full.
+(** The one allocator of MPK protection keys. With eviction off
+    (classic mode) a key is a physical tag pinned from {!alloc} to
+    {!free}. With eviction on it lifts MPK's 16-key limit the way
+    libmpk does: each isolated cubicle owns a {e virtual} key (numbered
+    from [Pkru.nkeys] up, so the virtual and physical namespaces never
+    collide) and the physical tags [lo..hi] form an LRU cache of
+    bindings. {!phys_of} is the fault-in: it returns the virtual key's
+    current physical tag, binding it on demand and evicting the
+    least-recently-used resident when the pool is full.
 
     An eviction walks the victim's pages back to the monitor tag (via
     the monitor-installed {!set_evict_hook}, priced per page), scrubs
@@ -28,10 +28,15 @@ type stats = {
 
 type t
 
-val create : ?lo:int -> ?hi:int -> Cpu.t -> t
-(** [create cpu] manages physical tags [lo..hi] (default 1..14 — all
-    tags except the monitor's 0 and the shared 15). Raises
-    [Invalid_argument] on an empty or out-of-range tag interval. *)
+val create : ?lo:int -> ?hi:int -> evict:bool -> Cpu.t -> t
+(** [create ~evict cpu] manages physical tags [lo..hi] (default 1..14
+    — all tags except the monitor's 0 and the shared 15). [evict]
+    selects virtual keys with LRU eviction; without it keys are pinned
+    physical tags. Raises [Invalid_argument] on an empty or
+    out-of-range tag interval. *)
+
+val evicts : t -> bool
+(** Whether [t] was created with [~evict:true]. *)
 
 val is_virtual : int -> bool
 (** [is_virtual k] — keys >= [Pkru.nkeys] are virtual. *)
@@ -46,18 +51,21 @@ val set_evict_hook : t -> (cid:int -> vkey:int -> phys:int -> int) option -> uni
     per-page reassignment cost itself — and return how many pages it
     retagged. *)
 
-val alloc : t -> cid:int -> int
-(** [alloc t ~cid] hands out a fresh virtual key owned by cubicle
-    [cid], recycling numbers released by {!free}. The key is not yet
-    resident; the first {!phys_of} faults it in. *)
+val alloc : t -> cid:int -> int option
+(** [alloc t ~cid] hands out a fresh key owned by cubicle [cid]. With
+    eviction on it is a virtual key, recycling numbers released by
+    {!free}, not yet resident (the first {!phys_of} faults it in); it
+    never fails. With eviction off it is the lowest free physical tag,
+    bound until {!free} at no charge, and [None] when every tag is in
+    use. *)
 
 val free : t -> int -> unit
-(** [free t vkey] releases a virtual key at cubicle teardown: drops its
-    binding (without the page-walk eviction price — the caller scrubs
-    and unmaps the dead cubicle's pages itself), scrubs the freed tag
-    from every core's PKRU still caching it (so the recycled slot's
-    next owner cannot be aliased by a stale register) and recycles the
-    key number. Idempotent. *)
+(** [free t vkey] releases a key at cubicle teardown or dedicated
+    window close, in either mode: drops its binding (without the
+    page-walk eviction price — the caller scrubs, unmaps or retags the
+    pages itself), scrubs the freed tag from every core's PKRU still
+    caching it (so the slot's next owner cannot be aliased by a stale
+    register) and recycles the key number. Idempotent. *)
 
 val phys_of : t -> int -> int
 (** [phys_of t vkey] — the fault-in. Physical keys pass through

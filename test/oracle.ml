@@ -15,6 +15,20 @@ let owned_by_cubicle mon cid =
   let open Cubicle in
   owned_by (Monitor.meta mon) ~npages:(Hw.Cpu.npages (Monitor.cpu mon)) cid
 
+(* The paper's linear scan of one descriptor array (§5.3 step ❸),
+   built from public [Window] functions only: the live windows of
+   [klass], newest first, and the 1-based position of the first that
+   contains [addr]. [Window.search]'s page index must agree with it,
+   descriptor count included. *)
+let search_linear tbl ~klass ~addr =
+  let open Cubicle in
+  let rec scan inspected = function
+    | [] -> None
+    | w :: rest ->
+        if Window.contains w addr then Some (w, inspected + 1) else scan (inspected + 1) rest
+  in
+  scan 0 (List.filter (fun (w : Window.t) -> w.klass = klass) (Window.live_windows tbl))
+
 (* Reference B-tree node codec: a plain Buffer/String implementation
    that defines the on-page format the staged codec in [Minidb.Btree]
    must keep. A page holds [kind u8][nkeys u16][u32] — a

@@ -913,7 +913,7 @@ let prop_search_index_matches_linear =
         let addr = 0x1000 + (a * 512) in
         if
           norm (Window.search tbl ~klass:Mm.Page_meta.Heap ~addr)
-          <> norm (Window.search_linear tbl ~klass:Mm.Page_meta.Heap ~addr)
+          <> norm (Oracle.search_linear tbl ~klass:Mm.Page_meta.Heap ~addr)
         then searches_agree := false
       done;
       let naive_covers w ~ptr ~size =

@@ -182,27 +182,90 @@ let test_failed_spawns_leak_nothing () =
       Api.write_u8 ctx b 42;
       check_int "respawned cubicle works" 42 (Api.read_u8 ctx b))
 
-(* Keymux.free at teardown must scrub the freed tag from every core's
-   PKRU still caching it: a register narrowed on another core would
-   otherwise retain access to whatever cubicle next binds the slot. *)
-let test_teardown_scrubs_core_registers () =
-  let mon = Monitor.create ~virtualise:true ~ncores:2 ~protection:Types.Full () in
+(* Keymux.free must scrub the freed tag from every core's PKRU still
+   caching it, with or without virtualisation: a register narrowed on
+   another core would otherwise retain access to whatever cubicle next
+   binds the slot. Core 1 caches [tag]; after [free ()] it must not
+   admit it, and the heap of the next cubicle to get [tag] must fault
+   when core 1 reads it. *)
+let check_free_scrubs_core1 mon ~tag ~free =
+  let cpu = Monitor.cpu mon in
+  Hw.Cpu.set_core cpu 1;
+  Hw.Cpu.wrpkru cpu (Hw.Pkru.of_keys [ tag; Monitor.shared_key ]);
+  Hw.Cpu.set_core cpu 0;
+  check_bool "core 1 caches the tag" true (Hw.Pkru.can_read (Hw.Cpu.core_pkru cpu 1) tag);
+  free ();
+  check_bool "free scrubbed core 1" false (Hw.Pkru.can_read (Hw.Cpu.core_pkru cpu 1) tag);
+  let next =
+    Monitor.create_cubicle mon ~name:"NEXT" ~kind:Types.Isolated ~heap_pages:2 ~stack_pages:1
+  in
+  check_int "next cubicle gets the freed tag" tag (Monitor.cubicle_key mon next);
+  let buf = Monitor.malloc mon next 16 in
+  Hw.Cpu.set_core cpu 1;
+  let denied = is_violation (fun () -> Hw.Cpu.read_u8 cpu buf) in
+  Hw.Cpu.set_core cpu 0;
+  check_bool "core 1 cannot read the recycled tag's heap" true denied
+
+let test_teardown_scrubs_core_registers ~virtualise () =
+  let mon = Monitor.create ~virtualise ~ncores:2 ~protection:Types.Full () in
   let a =
     Monitor.create_cubicle mon ~name:"A" ~kind:Types.Isolated ~heap_pages:2 ~stack_pages:1
   in
-  let phys_a = Monitor.cubicle_key mon a in
+  check_free_scrubs_core1 mon ~tag:(Monitor.cubicle_key mon a) ~free:(fun () ->
+      Monitor.destroy_cubicle mon a);
+  Option.iter
+    (fun km ->
+      check_bool "shootdown counted" true ((Hw.Keymux.stats km).Hw.Keymux.key_shootdowns > 0))
+    (Monitor.keymux mon)
+
+(* The same for a dedicated window tag returned by its last close. *)
+let test_dedicated_close_scrubs_core_registers () =
+  let mon = Monitor.create ~ncores:2 ~protection:Types.Full () in
+  let spawn name =
+    Monitor.create_cubicle mon ~name ~kind:Types.Isolated ~heap_pages:2 ~stack_pages:1
+  in
+  let foo = spawn "FOO" in
+  let bar = spawn "BAR" in
+  let ctx = Monitor.ctx_for mon foo in
+  let buf = Api.malloc_page_aligned ctx 4096 in
+  let wid = Api.window_init ctx ~klass:Mm.Page_meta.Heap in
+  Api.window_add ctx wid ~ptr:buf ~size:4096;
+  Api.window_open_dedicated ctx wid bar;
+  let tag = Option.get (Window.find (Monitor.windows_of mon foo) wid).Window.dedicated_key in
+  check_free_scrubs_core1 mon ~tag ~free:(fun () -> Api.window_close_dedicated ctx wid bar)
+
+(* Closing the last grant while the owner runs refreshes the running
+   core's PKRU before the tag is freed: one wrpkru, as for any close,
+   and no scrub of the running core billed to the key allocator. *)
+let test_dedicated_close_while_owner_runs () =
+  let mon = Monitor.create ~ncores:2 ~protection:Types.Full () in
   let cpu = Monitor.cpu mon in
-  (* core 1 caches A's physical tag in a narrowed register *)
-  Hw.Cpu.set_core cpu 1;
-  Hw.Cpu.wrpkru cpu (Hw.Pkru.of_keys [ phys_a; Monitor.shared_key ]);
-  Hw.Cpu.set_core cpu 0;
-  check_bool "core 1 caches the tag" true
-    (Hw.Pkru.can_read (Hw.Cpu.core_pkru cpu 1) phys_a);
-  Monitor.destroy_cubicle mon a;
-  check_bool "teardown scrubbed core 1" false
-    (Hw.Pkru.can_read (Hw.Cpu.core_pkru cpu 1) phys_a);
-  let km = Option.get (Monitor.keymux mon) in
-  check_bool "shootdown counted" true ((Hw.Keymux.stats km).Hw.Keymux.key_shootdowns > 0)
+  let spawn name =
+    Monitor.create_cubicle mon ~name ~kind:Types.Isolated ~heap_pages:2 ~stack_pages:1
+  in
+  let foo = spawn "FOO" in
+  let bar = spawn "BAR" in
+  let ctx = Monitor.ctx_for mon foo in
+  let buf = Api.malloc_page_aligned ctx 4096 in
+  let wid = Api.window_init ctx ~klass:Mm.Page_meta.Heap in
+  Api.window_add ctx wid ~ptr:buf ~size:4096;
+  Monitor.run_as mon foo (fun () ->
+      Api.window_open_dedicated ctx wid bar;
+      let tag =
+        Option.get (Window.find (Monitor.windows_of mon foo) wid).Window.dedicated_key
+      in
+      check_bool "owner's core admits the tag" true
+        (Hw.Pkru.can_read (Hw.Cpu.core_pkru cpu 0) tag);
+      let keymux_cycles () =
+        Telemetry.Attrib.category_total (Hw.Cost.attrib (Hw.Cpu.cost cpu))
+          Telemetry.Attrib.Keymux
+      in
+      let wrpkrus = Hw.Cpu.wrpkru_count cpu and keymux = keymux_cycles () in
+      Api.window_close_dedicated ctx wid bar;
+      check_int "one wrpkru" 1 (Hw.Cpu.wrpkru_count cpu - wrpkrus);
+      check_int "no allocator scrub charged" 0 (keymux_cycles () - keymux);
+      check_bool "owner's core no longer admits the tag" false
+        (Hw.Pkru.can_read (Hw.Cpu.core_pkru cpu 0) tag))
 
 (* Returning from a nested call must not re-admit a physical tag that
    was evicted and rebound to a different cubicle while the call ran:
@@ -549,7 +612,13 @@ let () =
           Alcotest.test_case "failed spawns leak nothing" `Quick
             test_failed_spawns_leak_nothing;
           Alcotest.test_case "teardown scrubs cores" `Quick
-            test_teardown_scrubs_core_registers;
+            (test_teardown_scrubs_core_registers ~virtualise:true);
+          Alcotest.test_case "teardown scrubs cores, classic" `Quick
+            (test_teardown_scrubs_core_registers ~virtualise:false);
+          Alcotest.test_case "dedicated close scrubs cores, classic" `Quick
+            test_dedicated_close_scrubs_core_registers;
+          Alcotest.test_case "dedicated close while owner runs" `Quick
+            test_dedicated_close_while_owner_runs;
           Alcotest.test_case "return recomputes pkru" `Quick
             test_return_does_not_readmit_recycled_tag;
         ] );
