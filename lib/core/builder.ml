@@ -47,53 +47,16 @@ let check_exports c =
       if not (List.mem e.sym c.exportsyms) then raise (Undeclared_export (c.name, e.sym)))
     c.exports
 
-let build mon comps =
-  List.iter (fun (c, _) -> check_exports c) comps;
-  let cids =
-    List.map
-      (fun (c, kind) ->
-        let img =
-          Loader.image_of_ops ~name:c.name ~data_bytes:c.data_bytes ~ops:c.code_ops ()
-        in
-        let loaded =
-          Loader.load mon img ~kind ~heap_pages:c.heap_pages ~stack_pages:c.stack_pages
-            ~exports:c.exports
-        in
-        (c.name, loaded.Loader.cid))
-      comps
-  in
-  (* Trampolines cover every public symbol of isolated and trusted
-     cubicles; shared-cubicle calls do not transit the monitor. *)
-  let syms =
-    List.concat_map
-      (fun (c, kind) ->
-        match kind with
-        | Types.Isolated | Types.Trusted ->
-            List.map (fun (e : Monitor.export_spec) -> e.sym) c.exports
-        | Types.Shared -> [])
-      comps
-  in
-  let trampolines = Trampoline.install mon ~syms in
-  (* Initialisers run in declaration order, each entered as its own
-     cubicle (the loader jumps to the component's init through a
-     trampoline) — this is where callback tables get filled in. *)
-  List.iter
-    (fun (c, _) ->
-      let cid = List.assoc c.name cids in
-      Monitor.run_as mon cid (fun () -> c.init (Monitor.ctx_for mon cid)))
-    comps;
-  { mon; cids; trampolines; ifaces = List.map (fun (c, _) -> (c.name, c.iface)) comps }
-
 let cid built name =
   match List.assoc_opt name built.cids with
   | Some c -> c
   | None -> Types.error "builder: unknown component %s" name
 
-(* Dynamic spawn: the runtime counterpart of [build] — load more
-   components into the running system, extend the trampoline table and
-   run the newcomers' initialisers. [callers] names already-live
-   cubicles that will call into the new exports; they receive guard
-   entries for the fresh symbols alongside the spawned cubicles. *)
+(* Load components into a deployment, extend the trampoline table and
+   run the newcomers' initialisers. Boot is the first spawn, into an
+   empty deployment. [callers] names already-live cubicles that will
+   call into the new exports; they receive guard entries for the fresh
+   symbols alongside the spawned cubicles. *)
 let spawn ?(callers = []) built comps =
   List.iter (fun (c, _) -> check_exports c) comps;
   let fresh =
@@ -109,6 +72,8 @@ let spawn ?(callers = []) built comps =
         (c.name, loaded.Loader.cid))
       comps
   in
+  (* Trampolines cover every public symbol of isolated and trusted
+     cubicles; shared-cubicle calls do not transit the monitor. *)
   let syms =
     List.concat_map
       (fun (c, kind) ->
@@ -121,20 +86,27 @@ let spawn ?(callers = []) built comps =
   (* Live callers only need guard entries for the new symbols (they
      already hold the rest); the freshly spawned cubicles must be able
      to guard-call every live export, not just the ones introduced in
-     their own batch — mirror [build], which covers the full thunk
-     table for every isolated cubicle. *)
+     their own batch. *)
   Trampoline.extend built.trampolines ~syms ~cids:callers;
   Trampoline.extend built.trampolines
     ~syms:(Trampoline.syms built.trampolines)
     ~cids:(List.map snd fresh);
   built.cids <- built.cids @ fresh;
   built.ifaces <- built.ifaces @ List.map (fun (c, _) -> (c.name, c.iface)) comps;
+  (* Initialisers run in declaration order, each entered as its own
+     cubicle (the loader jumps to the component's init through a
+     trampoline) — this is where callback tables get filled in. *)
   List.iter
     (fun (c, _) ->
       let cid = List.assoc c.name fresh in
       Monitor.run_as built.mon cid (fun () -> c.init (Monitor.ctx_for built.mon cid)))
     comps;
   fresh
+
+let build mon comps =
+  let built = { mon; cids = []; trampolines = Trampoline.create mon; ifaces = [] } in
+  ignore (spawn built comps);
+  built
 
 let unload built names =
   List.iter

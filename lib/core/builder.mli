@@ -59,7 +59,8 @@ exception Undeclared_export of string * string
 (** (component, symbol): an export not listed in exportsyms. *)
 
 val build : Monitor.t -> (component * Types.kind) list -> built
-(** Load all components, install trampolines, run initialisers. *)
+(** Boot: {!spawn} the components into an empty deployment (an empty
+    trampoline table, no cids). *)
 
 val cid : built -> string -> Types.cid
 
@@ -68,15 +69,14 @@ val spawn :
   built ->
   (component * Types.kind) list ->
   (string * Types.cid) list
-(** Load more components into a running system: the cubicle lifecycle's
-    birth half. Checks exports, loads each component, extends the
-    trampoline table (thunks for the new symbols; guard entries in each
-    spawned isolated cubicle for {e every} live export, matching what
-    {!build} gives statically-built cubicles, and in each cubicle of
-    [callers] for the new symbols), runs initialisers in declaration
-    order, and returns the fresh [(name, cid)] pairs. Component names
-    must not collide with live cubicles ({!Types.Error} from the
-    monitor if they do). *)
+(** Load components into a deployment: the cubicle lifecycle's birth
+    half, and the only load path ({!build} is the first spawn). Checks
+    exports, loads each component, extends the trampoline table (thunks
+    for the new symbols; guard entries in each spawned isolated cubicle
+    for {e every} live export, and in each cubicle of [callers] for the
+    new symbols), runs initialisers in declaration order, and returns
+    the fresh [(name, cid)] pairs. Component names must not collide
+    with live cubicles ({!Types.Error} from the monitor if they do). *)
 
 val unload : built -> string list -> unit
 (** Tear the named components down: drop their guard entries, then

@@ -139,6 +139,12 @@ let restore_pkru t ~saved_cur ~saved_pkru =
 
 (* --- trap-and-map fault handler (paper Fig. 4) ------------------------- *)
 
+(* Every denial the monitor decides — an ACL refusing a fault, a call
+   to an unresolved symbol — is counted and reported here. *)
+let reject t cid =
+  Stats.count_rejected t.stats;
+  emit t (Telemetry.Event.Rejected { cid })
+
 let retag t page ~to_key =
   Log.debug (fun m -> m "retag page %d -> key %d" page to_key);
   Hw.Cpu.set_page_key t.m_cpu page to_key;
@@ -210,8 +216,7 @@ let handle_fault t (fault : Hw.Fault.t) =
                   | Some klass -> (
                       match Window.search owner.windows ~klass ~addr:fault.addr with
                       | None ->
-                          Stats.count_rejected t.stats;
-                          emit t (Telemetry.Event.Rejected { cid = cur });
+                          reject t cur;
                           false
                       | Some (w, inspected) ->
                           (* Linear ACL search cost; descriptor arrays are
@@ -236,8 +241,7 @@ let handle_fault t (fault : Hw.Fault.t) =
                             true
                           end
                           else begin
-                            Stats.count_rejected t.stats;
-                            emit t (Telemetry.Event.Rejected { cid = cur });
+                            reject t cur;
                             false
                           end))
               | Types.None_ | Types.Trampolines -> false))
@@ -248,7 +252,7 @@ let monitor_reserved_pages = 16
 
 (* Every page [cid] owns, ascending, from its recorded runs: O(pages
    owned), not O(machine pages). [alloc_owned_pages] is the only place
-   ownership is assigned and records each run; [release_runs] and
+   ownership is assigned and records each run; [release_cubicle] and
    [free_pages] drop them, so the runs are exactly the ownership map. *)
 let owned_pages t cid =
   match Hashtbl.find_opt t.cubicle_runs cid with
@@ -353,24 +357,36 @@ let alloc_owned_pages t cid n ~kind ~perm =
   | None -> Hashtbl.replace t.cubicle_runs cid (ref [ (page, n) ]));
   Hw.Addr.base_of_page page
 
-(* Scrub, unmap and return every page run recorded for [cid]. Shared
-   between destroy_cubicle and create_cubicle's failure rollback. *)
-let release_runs t cid =
-  (match Hashtbl.find_opt t.cubicle_runs cid with
+(* Scrub, unmap and return one page run: the one loop behind
+   [free_pages] and cubicle teardown. *)
+let release_run t page n =
+  for p = page to page + n - 1 do
+    (* scrub contents so the next owner cannot read stale data *)
+    Hw.Cpu.priv_fill t.m_cpu (Hw.Addr.base_of_page p) Hw.Addr.page_size '\000';
+    Mm.Page_meta.release t.meta ~page:p;
+    Hw.Cpu.unmap_page t.m_cpu p
+  done;
+  Hashtbl.remove t.page_allocs page;
+  Mm.Page_alloc.free t.palloc page
+
+(* Return everything a cubicle holds: every page run, its key (the
+   binding is dropped without the eviction price — the pages were just
+   scrubbed and unmapped — and Keymux scrubs the tag from every core
+   still caching it), its name and its cid. The one release path,
+   shared by [destroy_cubicle] and [create_cubicle]'s rollback. *)
+let release_cubicle t c =
+  (match Hashtbl.find_opt t.cubicle_runs c.cid with
   | Some runs ->
-      List.iter
-        (fun (page, n) ->
-          for p = page to page + n - 1 do
-            (* scrub contents so the next owner cannot read stale data *)
-            Hw.Cpu.priv_fill t.m_cpu (Hw.Addr.base_of_page p) Hw.Addr.page_size '\000';
-            Mm.Page_meta.release t.meta ~page:p;
-            Hw.Cpu.unmap_page t.m_cpu p
-          done;
-          Hashtbl.remove t.page_allocs page;
-          Mm.Page_alloc.free t.palloc page)
-        !runs;
-      Hashtbl.remove t.cubicle_runs cid
-  | None -> ())
+      List.iter (fun (page, n) -> release_run t page n) !runs;
+      Hashtbl.remove t.cubicle_runs c.cid
+  | None -> ());
+  (match c.kind with
+  | Types.Isolated -> Hw.Keymux.free t.keymux c.key
+  | Types.Shared | Types.Trusted -> ());
+  c.heaps <- [];
+  Hashtbl.remove t.cubs c.cid;
+  Hashtbl.remove t.by_name c.name;
+  t.free_cids <- c.cid :: t.free_cids
 
 let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
   if Hashtbl.mem t.by_name name then Types.error "cubicle %s already exists" name;
@@ -385,9 +401,6 @@ let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
         t.next_cid <- c + 1;
         c
   in
-  let undo_cid () =
-    if cid = t.next_cid - 1 then t.next_cid <- cid else t.free_cids <- cid :: t.free_cids
-  in
   let key =
     match kind with
     | Types.Trusted -> monitor_key
@@ -397,7 +410,8 @@ let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
         match Hw.Keymux.alloc t.keymux ~cid with
         | Some k -> k
         | None ->
-            undo_cid ();
+            (* the next create_cubicle pops the same cid *)
+            t.free_cids <- cid :: t.free_cids;
             Types.error
               "out of MPK protection keys (15 in use); enable tag virtualisation \
                (libmpk-style) to run more isolated cubicles")
@@ -439,13 +453,7 @@ let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
     end;
     cid
   with e ->
-    release_runs t cid;
-    Hashtbl.remove t.cubs cid;
-    Hashtbl.remove t.by_name name;
-    (match kind with
-    | Types.Isolated -> Hw.Keymux.free t.keymux key
-    | Types.Trusted | Types.Shared -> ());
-    undo_cid ();
+    release_cubicle t cub;
     raise e
 
 let ncubicles t = Hashtbl.length t.cubs
@@ -503,8 +511,7 @@ let call t ~caller sym args =
     match Hashtbl.find_opt t.symbols sym with
     | Some e -> e
     | None ->
-        Stats.count_rejected t.stats;
-        emit t (Telemetry.Event.Rejected { cid = caller });
+        reject t caller;
         Log.warn (fun m -> m "CFI: call to unresolved symbol %s from cubicle %d" sym caller);
         Types.error "cross-cubicle call to unresolved symbol %s (CFI)" sym
   in
@@ -623,20 +630,11 @@ let free_pages t cid base =
       (match Mm.Page_meta.owner t.meta page with
       | Some owner when owner = cid -> ()
       | _ -> Types.error "free_pages: cubicle %d does not own 0x%x" cid base);
-      Hashtbl.remove t.page_allocs page;
       (match Hashtbl.find_opt t.cubicle_runs cid with
       | Some runs -> runs := List.filter (fun (p, _) -> p <> page) !runs
       | None -> ());
       if mpk_on t then Hw.Cost.charge_cat (cost t) Telemetry.Attrib.Mpk (n * (cost t).model.pkey_set);
-      for p = page to page + n - 1 do
-        (* scrub contents so the next owner cannot read stale data —
-           same guarantee destroy_cubicle gives for whole-cubicle
-           teardown, extended to individual page returns *)
-        Hw.Cpu.priv_fill t.m_cpu (Hw.Addr.base_of_page p) Hw.Addr.page_size '\000';
-        Mm.Page_meta.release t.meta ~page:p;
-        Hw.Cpu.unmap_page t.m_cpu p
-      done;
-      Mm.Page_alloc.free t.palloc page
+      release_run t page n
 
 (* --- window management (Table 1) ---------------------------------------- *)
 
@@ -691,89 +689,6 @@ let check_range_owned t cid (w : Window.t) wid ~ptr ~size =
     | None -> Types.error "window_add: page %d has no class" p
   done
 
-let window_add t cid ?(perm = Window.RW) wid ~ptr ~size =
-  charge_window_op t;
-  let w = find_window t cid wid in
-  check_range_owned t cid w wid ~ptr ~size;
-  Window.add_range (get t cid).windows w ~perm ~ptr ~size;
-  emit_window t cid Telemetry.Event.Add ~wid ~ptr ~size ~rw:(perm = Window.RW) ()
-
-(* Permission downgrade RW -> R of an existing grant, in place. Under
-   causal tag consistency this only narrows the ACL the fault handler
-   (and the replay mirror) consults: a peer holding a stale RW-era
-   mapping keeps writing until the page migrates back — the same lazy
-   window the paper accepts for revocation (§5.6), and exactly what the
-   online race sink watches for. *)
-let window_downgrade t cid wid ~ptr =
-  charge_window_op t;
-  let w = find_window t cid wid in
-  let size =
-    match List.find_opt (fun (r : Window.range) -> r.ptr = ptr) w.Window.ranges with
-    | Some r -> r.size
-    | None -> 0
-  in
-  Window.downgrade_range w ~ptr;
-  emit_window t cid Telemetry.Event.Downgrade ~wid ~ptr ~size ~rw:false ()
-
-let window_remove t cid wid ~ptr =
-  charge_window_op t;
-  let w = find_window t cid wid in
-  (* record the revoked grant's size before dropping it, so replay can
-     retire the exact range *)
-  let size =
-    match List.find_opt (fun (r : Window.range) -> r.ptr = ptr) w.Window.ranges with
-    | Some r -> r.size
-    | None -> 0
-  in
-  Window.remove_range (get t cid).windows w ~ptr;
-  emit_window t cid Telemetry.Event.Remove ~wid ~ptr ~size ()
-
-let retag_window_pages t w ~to_key =
-  List.iter
-    (fun (r : Window.range) ->
-      let first = Hw.Addr.page_of r.ptr and last = Hw.Addr.page_of (r.ptr + r.size - 1) in
-      for p = first to last do
-        if Hw.Cpu.page_key t.m_cpu p <> to_key then retag t p ~to_key
-      done)
-    w.Window.ranges
-
-let window_open t cid wid other =
-  charge_window_op t;
-  if other = cid then Types.error "window_open: cannot open a window to oneself";
-  ignore (get t other);
-  let w = find_window t cid wid in
-  Window.open_for w other;
-  if mpk_on t && t.policy.mapping = `Eager_on_open then
-    retag_window_pages t w ~to_key:(phys_of t (get t other));
-  emit_window t cid Telemetry.Event.Open ~wid ~peer:other ()
-
-let window_close t cid wid other =
-  charge_window_op t;
-  let w = find_window t cid wid in
-  Window.close_for w other;
-  (* Under causal tag consistency (the default, §5.6) nothing else
-     happens: pages migrate back lazily when their owner (or another
-     authorised cubicle) next touches them. *)
-  if mpk_on t && t.policy.revocation = `Eager_revoke then
-    retag_window_pages t w ~to_key:(phys_of t (get t cid));
-  emit_window t cid Telemetry.Event.Close ~wid ~peer:other ()
-
-let window_close_all t cid wid =
-  charge_window_op t;
-  let w = find_window t cid wid in
-  Window.close_all w;
-  if mpk_on t && t.policy.revocation = `Eager_revoke then
-    retag_window_pages t w ~to_key:(phys_of t (get t cid));
-  emit_window t cid Telemetry.Event.Close_all ~wid ()
-
-let window_destroy t cid wid =
-  charge_window_op t;
-  let c = get t cid in
-  Window.destroy c.windows (find_window t cid wid);
-  emit_window t cid Telemetry.Event.Destroy ~wid ()
-
-(* --- batched window ops + grant-and-forward (sendfile fast path) ------- *)
-
 (* A batched call pays one monitor crossing (one window_op charge) plus
    a small per-extra-descriptor cost, instead of n full crossings. *)
 let charge_batch_extra t n =
@@ -795,6 +710,53 @@ let window_add_ranges t cid ?(perm = Window.RW) wid ranges =
       emit_window t cid Telemetry.Event.Add ~wid ~ptr ~size ~rw:(perm = Window.RW) ())
     ranges
 
+let window_add t cid ?perm wid ~ptr ~size = window_add_ranges t cid ?perm wid [ (ptr, size) ]
+
+(* The size of the range starting at [ptr] (0 if none): Remove and
+   Downgrade events carry it so replay can retire or narrow the exact
+   range. *)
+let range_size (w : Window.t) ~ptr =
+  match List.find_opt (fun (r : Window.range) -> r.ptr = ptr) w.Window.ranges with
+  | Some r -> r.size
+  | None -> 0
+
+(* Permission downgrade RW -> R of an existing grant, in place. Under
+   causal tag consistency this only narrows the ACL the fault handler
+   (and the replay mirror) consults: a peer holding a stale RW-era
+   mapping keeps writing until the page migrates back — the same lazy
+   window the paper accepts for revocation (§5.6), and exactly what the
+   online race sink watches for. *)
+let window_downgrade t cid wid ~ptr =
+  charge_window_op t;
+  let w = find_window t cid wid in
+  let size = range_size w ~ptr in
+  Window.downgrade_range w ~ptr;
+  emit_window t cid Telemetry.Event.Downgrade ~wid ~ptr ~size ~rw:false ()
+
+let window_remove t cid wid ~ptr =
+  charge_window_op t;
+  let w = find_window t cid wid in
+  let size = range_size w ~ptr in
+  Window.remove_range (get t cid).windows w ~ptr;
+  emit_window t cid Telemetry.Event.Remove ~wid ~ptr ~size ()
+
+let retag_window_pages t w ~to_key =
+  List.iter
+    (fun (r : Window.range) ->
+      let first = Hw.Addr.page_of r.ptr and last = Hw.Addr.page_of (r.ptr + r.size - 1) in
+      for p = first to last do
+        if Hw.Cpu.page_key t.m_cpu p <> to_key then retag t p ~to_key
+      done)
+    w.Window.ranges
+
+(* The grant step of every open and forward: add [other] to the ACL
+   and, under eager mapping, retag the window's pages to it now rather
+   than on its first touch. *)
+let grant t w other =
+  Window.open_for w other;
+  if mpk_on t && t.policy.mapping = `Eager_on_open then
+    retag_window_pages t w ~to_key:(phys_of t (get t other))
+
 let window_open_many t cid wid peers =
   if peers = [] then Types.error "window_open_many: empty peer list";
   charge_window_op t;
@@ -805,13 +767,40 @@ let window_open_many t cid wid peers =
       ignore (get t other))
     peers;
   let w = find_window t cid wid in
-  List.iter
-    (fun other ->
-      Window.open_for w other;
-      if mpk_on t && t.policy.mapping = `Eager_on_open then
-        retag_window_pages t w ~to_key:(phys_of t (get t other)))
-    peers;
+  List.iter (grant t w) peers;
   List.iter (fun other -> emit_window t cid Telemetry.Event.Open ~wid ~peer:other ()) peers
+
+let window_open t cid wid other = window_open_many t cid wid [ other ]
+
+(* The revocation step of every close. Under causal tag consistency
+   (the default, §5.6) nothing happens: pages migrate back lazily when
+   their owner (or another authorised cubicle) next touches them.
+   Eager revocation retags them to the owner now. *)
+let revoke t cid w =
+  if mpk_on t && t.policy.revocation = `Eager_revoke then
+    retag_window_pages t w ~to_key:(phys_of t (get t cid))
+
+let window_close t cid wid other =
+  charge_window_op t;
+  let w = find_window t cid wid in
+  Window.close_for w other;
+  revoke t cid w;
+  emit_window t cid Telemetry.Event.Close ~wid ~peer:other ()
+
+let window_close_all t cid wid =
+  charge_window_op t;
+  let w = find_window t cid wid in
+  Window.close_all w;
+  revoke t cid w;
+  emit_window t cid Telemetry.Event.Close_all ~wid ()
+
+let window_destroy t cid wid =
+  charge_window_op t;
+  let c = get t cid in
+  Window.destroy c.windows (find_window t cid wid);
+  emit_window t cid Telemetry.Event.Destroy ~wid ()
+
+(* --- grant-and-forward (sendfile fast path) ----------------------------- *)
 
 (* Grant-and-forward: a cubicle that already holds [owner]'s window
    open for it may extend the grant to a third cubicle further down the
@@ -830,9 +819,7 @@ let window_forward t cid ~owner wid other =
   if cid <> owner && not (Window.is_open_for w cid) then
     Types.error "window_forward: window %d of cubicle %d is not open for forwarder %d" wid
       owner cid;
-  Window.open_for w other;
-  if mpk_on t && t.policy.mapping = `Eager_on_open then
-    retag_window_pages t w ~to_key:(phys_of t (get t other));
+  grant t w other;
   emit_window t owner Telemetry.Event.Forward ~wid ~peer:other ()
 
 (* Explicit grant check (CubiCheck): does [cid] hold a live window open
@@ -853,6 +840,11 @@ let alloc_dedicated_key t ~cid =
       Types.error
         "out of MPK protection keys: window-specific tags consume one tag per \
          shared buffer and exhaust the 16 keys quickly (paper §5.6)"
+
+(* A dedicated tag was granted or taken back: refresh the active PKRU
+   if the owner or the grantee is the executing cubicle. *)
+let refresh_pkru t cid other =
+  if mpk_on t && (t.cur = cid || t.cur = other) then Hw.Cpu.wrpkru t.m_cpu (pkru_for t t.cur)
 
 (* ERIM/Hodor-style window-specific tags (contrasted in §5.6, suggested
    as a hybrid in §8): the window's pages get a tag of their own, which
@@ -879,9 +871,7 @@ let window_open_dedicated t cid wid other =
   let grantee = get t other in
   if not (List.mem key grantee.extra_keys) then
     grantee.extra_keys <- key :: grantee.extra_keys;
-  (* refresh the active PKRU if the affected cubicle is executing *)
-  if mpk_on t && (t.cur = cid || t.cur = other) then
-    Hw.Cpu.wrpkru t.m_cpu (pkru_for t t.cur)
+  refresh_pkru t cid other
 
 let window_close_dedicated t cid wid other =
   charge_window_op t;
@@ -901,8 +891,7 @@ let window_close_dedicated t cid wid other =
         Window.set_dedicated_key w None;
         if mpk_on t then retag_window_pages t w ~to_key:owner.key
       end;
-      if mpk_on t && (t.cur = cid || t.cur = other) then
-        Hw.Cpu.wrpkru t.m_cpu (pkru_for t t.cur);
+      refresh_pkru t cid other;
       (* freed after the refresh, so only stale remote registers are
          scrubbed (and charged) *)
       if last then Hw.Keymux.free t.keymux key
@@ -993,19 +982,7 @@ let destroy_cubicle t cid =
       | None -> ());
       emit_window t cid Telemetry.Event.Destroy ~wid:w.Window.wid ())
     (Window.live_windows c.windows);
-  (* scrub and release every page run *)
-  release_runs t cid;
-  (* recycle the key: its binding is dropped without the eviction price
-     (the pages were just scrubbed and unmapped), the tag is scrubbed
-     from every core still caching it, and the physical slot (and a
-     virtual key's number) becomes reusable *)
-  (match c.kind with
-  | Types.Isolated -> Hw.Keymux.free t.keymux c.key
-  | Types.Shared | Types.Trusted -> ());
-  c.heaps <- [];
-  Hashtbl.remove t.cubs cid;
-  Hashtbl.remove t.by_name c.name;
-  t.free_cids <- cid :: t.free_cids
+  release_cubicle t c
 
 let tag_evictions t = (Hw.Keymux.stats t.keymux).Hw.Keymux.evictions
 let page_owner t page = Mm.Page_meta.owner t.meta page

@@ -82,7 +82,11 @@ val create_cubicle :
     is raised when all 14 are in use (the 15th isolated cubicle). With
     [~virtualise:true] (libmpk-style tag virtualisation, the paper's §8
     suggestion) cubicles receive virtual keys mapped to physical ones
-    on demand, and allocation never runs dry. *)
+    on demand, and allocation never runs dry. A creation that fails
+    part-way (no key, or no memory for the stack or heap) releases what
+    it claimed through the same path as {!destroy_cubicle}, so the
+    monitor is left as it was and the next creation gets the same
+    cid. *)
 
 val ncubicles : t -> int
 (** Number of {e live} cubicles (monitor included). After a
@@ -171,15 +175,24 @@ val window_init : t -> Types.cid -> klass:Mm.Page_meta.kind -> Types.wid
 
 val window_table_extend : t -> Types.cid -> klass:Mm.Page_meta.kind -> unit
 
+val window_add_ranges :
+  t -> Types.cid -> ?perm:Window.perm -> Types.wid -> (int * int) list -> unit
+(** Grant a list of [(ptr, size)] ranges in one monitor crossing, with
+    a small extra charge per range after the first. Checks that every
+    page each range touches is owned by the caller and matches the
+    window's data class, before any range is applied (atomic batch);
+    one Add event is emitted per range so replay mirrors and counters
+    stay exact. [perm] (default [RW]) is the grants' permission; an [R]
+    grant lets peers read but makes a {e first-touch} write fault a
+    priced rejection. (Under lazy trap-and-map a peer that read first
+    holds the page at its own key, so its later writes never fault —
+    the online race sink catches those.) Raises {!Types.Error} on an
+    empty list. *)
+
 val window_add :
   t -> Types.cid -> ?perm:Window.perm -> Types.wid -> ptr:int -> size:int -> unit
-(** Checks that every page the range touches is owned by the caller and
-    matches the window's data class. [perm] (default [RW]) is the
-    grant's permission; an [R] grant lets peers read but makes a
-    {e first-touch} write fault a priced rejection. (Under lazy
-    trap-and-map a peer that read first holds the page at its own key,
-    so its later writes never fault — the online race sink catches
-    those.) *)
+(** {!window_add_ranges} with one range: same charge, events and
+    errors. *)
 
 val window_remove : t -> Types.cid -> Types.wid -> ptr:int -> unit
 
@@ -190,27 +203,26 @@ val window_downgrade : t -> Types.cid -> Types.wid -> ptr:int -> unit
     is no upgrade — re-grant with {!window_add} instead, so widenings
     are always visible window ops. *)
 
+val window_open_many : t -> Types.cid -> Types.wid -> Types.cid list -> unit
+(** Open window [wid] for a list of peers in one monitor crossing, with
+    a small extra charge per peer after the first. All peers are
+    validated before any open is applied. Under [`Eager_on_open] the
+    window's pages are retagged to each peer as it is opened. Raises
+    {!Types.Error} on an empty list. *)
+
 val window_open : t -> Types.cid -> Types.wid -> Types.cid -> unit
+(** {!window_open_many} with one peer: same charge, events and
+    errors. *)
+
 val window_close : t -> Types.cid -> Types.wid -> Types.cid -> unit
 val window_close_all : t -> Types.cid -> Types.wid -> unit
 val window_destroy : t -> Types.cid -> Types.wid -> unit
 
-val window_add_ranges :
-  t -> Types.cid -> ?perm:Window.perm -> Types.wid -> (int * int) list -> unit
-(** Batched {!window_add}: one monitor crossing amortised over a list
-    of [(ptr, size)] grants, all carrying [perm] (default [RW]). Every
-    range is validated before any is applied (atomic batch); one Add
-    event is still emitted per range so replay mirrors and counters
-    stay exact. Raises {!Types.Error} on an empty list. *)
-
-val window_open_many : t -> Types.cid -> Types.wid -> Types.cid list -> unit
-(** Batched {!window_open}: one monitor crossing amortised over a list
-    of peers. All peers are validated before any open is applied. *)
-
 val window_forward : t -> Types.cid -> owner:Types.cid -> Types.wid -> Types.cid -> unit
 (** Grant-and-forward: the calling cubicle, which must already hold
     window [wid] of [owner] open for itself, extends the grant to a
-    third cubicle further down the call chain (sendfile fast path). The
+    third cubicle further down the call chain (sendfile fast path). It
+    shares {!window_open_many}'s grant step (eager retag included). The
     Window event is emitted against the owner's window. *)
 
 val window_grants :

@@ -83,14 +83,7 @@ let alloc_guards t cid syms =
     done
   end
 
-let install mon ~syms =
-  let t = { mon; thunks = Hashtbl.create 16; guards = Hashtbl.create 16 } in
-  alloc_thunks t syms;
-  List.iter
-    (fun cid ->
-      if Monitor.cubicle_kind mon cid = Types.Isolated then alloc_guards t cid syms)
-    (Monitor.live_cids mon);
-  t
+let create mon = { mon; thunks = Hashtbl.create 16; guards = Hashtbl.create 16 }
 
 let extend t ~syms ~cids =
   alloc_thunks t syms;

@@ -18,16 +18,17 @@
 
 type t
 
-val install : Monitor.t -> syms:string list -> t
-(** Generate and load the (signed) thunk page(s) for the given exported
-    symbols, plus one guard page per existing isolated cubicle. *)
+val create : Monitor.t -> t
+(** An empty table: no thunks, no guard entries. {!Builder.spawn} fills
+    it through {!extend}. *)
 
 val extend : t -> syms:string list -> cids:Types.cid list -> unit
-(** Dynamic spawn support: install thunks for any of [syms] that lack
-    one (respawned symbols reuse their old thunk) and guard entries for
-    those symbols in each listed isolated cubicle — both freshly
-    spawned cubicles and live callers that will now reach the new
-    symbols. Non-isolated cids are ignored. *)
+(** Generate and load (signed) thunks for any of [syms] that lack one
+    (respawned symbols reuse their old thunk), then guard entries for
+    [syms] in each listed isolated cubicle — freshly spawned cubicles
+    and live callers that will now reach the new symbols. Each call
+    puts its new guard entries on a fresh page run in the cubicle's own
+    memory. Non-isolated cids are ignored. *)
 
 val forget_cubicle : t -> Types.cid -> unit
 (** Drop all guard entries of a torn-down cubicle: guard entries are

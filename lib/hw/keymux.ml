@@ -5,7 +5,7 @@
    eviction off (classic mode) a key *is* its tag, pinned from [alloc]
    to [free]. With eviction on, the cap is lifted libmpk-style: every
    isolated cubicle owns a *virtual* key (numbered from [Pkru.nkeys] so
-   the namespaces never collide) and the tags [lo..hi] become an LRU
+   the namespaces never collide) and the tags 1..14 ([lo..hi]) become an LRU
    cache of key *bindings*. A cubicle's first access after losing its
    binding faults, the monitor's [pkru_for]/fault path calls
    {!phys_of}, and the binding is re-established — evicting the
@@ -28,10 +28,12 @@ type stats = {
   mutable key_shootdowns : int;
 }
 
+(* The pool: every tag except the monitor's (0) and the shared one (15). *)
+let lo = 1
+let hi = Pkru.nkeys - 2
+
 type t = {
   cpu : Cpu.t;
-  lo : int;
-  hi : int;
   evict : bool;  (* false: classic pinned tags, vkey = phys *)
   owner : int array;  (* phys tag -> resident vkey, or -1 *)
   last_used : int array;  (* phys tag -> LRU tick (ticks are unique) *)
@@ -46,12 +48,9 @@ type t = {
 
 let is_virtual k = k >= Pkru.nkeys
 
-let create ?(lo = 1) ?(hi = Pkru.nkeys - 2) ~evict cpu =
-  if lo < 0 || hi >= Pkru.nkeys || lo > hi then invalid_arg "Keymux.create: bad tag range";
+let create ~evict cpu =
   {
     cpu;
-    lo;
-    hi;
     evict;
     owner = Array.make Pkru.nkeys (-1);
     last_used = Array.make Pkru.nkeys 0;
@@ -67,7 +66,6 @@ let create ?(lo = 1) ?(hi = Pkru.nkeys - 2) ~evict cpu =
 let evicts t = t.evict
 let set_evict_hook t h = t.evict_hook <- h
 let stats t = t.stats
-let slots t = t.hi - t.lo + 1
 
 let resident t vkey = Hashtbl.find_opt t.binding vkey
 let resident_vkey t phys = if t.owner.(phys) >= 0 then Some t.owner.(phys) else None
@@ -75,14 +73,14 @@ let cid_of_vkey t vkey = Hashtbl.find_opt t.vkey_cid vkey
 
 let residents t =
   let acc = ref [] in
-  for k = t.hi downto t.lo do
+  for k = hi downto lo do
     if t.owner.(k) >= 0 then acc := (k, t.owner.(k)) :: !acc
   done;
   !acc
 
 let free_slot t =
   let found = ref (-1) in
-  for k = t.hi downto t.lo do
+  for k = hi downto lo do
     if t.owner.(k) = -1 then found := k
   done;
   !found
@@ -174,8 +172,8 @@ let evict t ~phys =
   emit t (Telemetry.Event.Key_evict { cid; vkey; phys; pages })
 
 let lru_slot t =
-  let best = ref t.lo in
-  for k = t.lo + 1 to t.hi do
+  let best = ref lo in
+  for k = lo + 1 to hi do
     if t.last_used.(k) < t.last_used.(!best) then best := k
   done;
   !best

@@ -3,7 +3,7 @@
     {!free}. With eviction on it lifts MPK's 16-key limit the way
     libmpk does: each isolated cubicle owns a {e virtual} key (numbered
     from [Pkru.nkeys] up, so the virtual and physical namespaces never
-    collide) and the physical tags [lo..hi] form an LRU cache of
+    collide) and the physical tags 1..14 form an LRU cache of
     bindings. {!phys_of} is the fault-in: it returns the virtual key's
     current physical tag, binding it on demand and evicting the
     least-recently-used resident when the pool is full.
@@ -28,21 +28,16 @@ type stats = {
 
 type t
 
-val create : ?lo:int -> ?hi:int -> evict:bool -> Cpu.t -> t
-(** [create ~evict cpu] manages physical tags [lo..hi] (default 1..14
-    — all tags except the monitor's 0 and the shared 15). [evict]
-    selects virtual keys with LRU eviction; without it keys are pinned
-    physical tags. Raises [Invalid_argument] on an empty or
-    out-of-range tag interval. *)
+val create : evict:bool -> Cpu.t -> t
+(** [create ~evict cpu] manages physical tags 1..14 — all tags except
+    the monitor's 0 and the shared 15. [evict] selects virtual keys
+    with LRU eviction; without it keys are pinned physical tags. *)
 
 val evicts : t -> bool
 (** Whether [t] was created with [~evict:true]. *)
 
 val is_virtual : int -> bool
 (** [is_virtual k] — keys >= [Pkru.nkeys] are virtual. *)
-
-val slots : t -> int
-(** Size of the physical tag pool. *)
 
 val set_evict_hook : t -> (cid:int -> vkey:int -> phys:int -> int) option -> unit
 (** The monitor's page walk: called with the victim's cubicle, virtual

@@ -153,13 +153,14 @@ let test_dedicated_tags_rejected_under_virtualise () =
 
 (* A failed spawn must leave the monitor exactly as it was: repeated
    oversized creations (stack pages land, then the heap allocation
-   blows up) may not leak pages, cids, names or virtual keys. *)
-let test_failed_spawns_leak_nothing () =
-  let mon =
-    Monitor.create ~virtualise:true ~protection:Types.Full ~mem_bytes:(8 * 1024 * 1024) ()
+   blows up) may not leak pages, cids, names or keys. The respawn gets
+   the cid the failed spawns had; in classic mode no pinned tag leaks
+   either, so 14 isolated cubicles still fit and the 15th still fails. *)
+let test_failed_spawns_leak_nothing ~virtualise () =
+  let mon = Monitor.create ~virtualise ~protection:Types.Full ~mem_bytes:(8 * 1024 * 1024) () in
+  let ok =
+    Monitor.create_cubicle mon ~name:"OK" ~kind:Types.Isolated ~heap_pages:2 ~stack_pages:1
   in
-  ignore
-    (Monitor.create_cubicle mon ~name:"OK" ~kind:Types.Isolated ~heap_pages:2 ~stack_pages:1);
   let free0 = Monitor.free_page_count mon in
   let n0 = Monitor.ncubicles mon in
   for _ = 1 to 10 do
@@ -176,11 +177,23 @@ let test_failed_spawns_leak_nothing () =
   let cid =
     Monitor.create_cubicle mon ~name:"BIG" ~kind:Types.Isolated ~heap_pages:2 ~stack_pages:1
   in
+  check_int "respawn gets the failed spawns' cid" (ok + 1) cid;
   let ctx = Monitor.ctx_for mon cid in
   Monitor.run_as mon cid (fun () ->
       let b = Api.malloc ctx 8 in
       Api.write_u8 ctx b 42;
-      check_int "respawned cubicle works" 42 (Api.read_u8 ctx b))
+      check_int "respawned cubicle works" 42 (Api.read_u8 ctx b));
+  if not virtualise then begin
+    let spawn i =
+      Monitor.create_cubicle mon ~name:(Printf.sprintf "K%d" i) ~kind:Types.Isolated
+        ~heap_pages:1 ~stack_pages:1
+    in
+    for i = 3 to 14 do
+      ignore (spawn i)
+    done;
+    check_bool "15th isolated cubicle fails" true
+      (match spawn 15 with _ -> false | exception Types.Error _ -> true)
+  end
 
 (* Keymux.free must scrub the freed tag from every core's PKRU still
    caching it, with or without virtualisation: a register narrowed on
@@ -610,7 +623,9 @@ let () =
       ( "lifecycle",
         [
           Alcotest.test_case "failed spawns leak nothing" `Quick
-            test_failed_spawns_leak_nothing;
+            (test_failed_spawns_leak_nothing ~virtualise:true);
+          Alcotest.test_case "failed spawns leak nothing, classic" `Quick
+            (test_failed_spawns_leak_nothing ~virtualise:false);
           Alcotest.test_case "teardown scrubs cores" `Quick
             (test_teardown_scrubs_core_registers ~virtualise:true);
           Alcotest.test_case "teardown scrubs cores, classic" `Quick
