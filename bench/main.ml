@@ -1896,20 +1896,43 @@ let keys ?(out = "BENCH_keys.json") ?golden ?write_golden () =
 
 (* --- driver ---------------------------------------------------------------------- *)
 
+let known_targets =
+  [ "all"; "table2"; "fig5"; "fig6"; "fig7"; "fig8"; "fig10a"; "fig10b"; "ablation"; "micro";
+    "hw"; "smp"; "sendfile"; "keys"; "analyze"; "trace" ]
+
+let value_flags =
+  [ "--out"; "--golden"; "--write-golden"; "--folded"; "--sample"; "--n"; "--repeats";
+    "--lat-out"; "--baseline"; "--write-baseline" ]
+
+let bool_flags = [ "--attrib"; "--latency"; "--stream"; "--hdr" ]
+
+(* A mistyped target or a flag that lost its value must not run a
+   gate without its check and still exit 0. *)
+let usage fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "bench: %s\nusage: main.exe [TARGET...] [FLAG...]\n" msg;
+      Printf.eprintf "  targets: %s\n" (String.concat " " known_targets);
+      Printf.eprintf "  flags with a value: %s\n" (String.concat " " value_flags);
+      Printf.eprintf "  boolean flags: %s\n" (String.concat " " bool_flags);
+      exit 2)
+    fmt
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  (* flags with a value: --out FILE, --golden FILE, --write-golden FILE,
-     --folded FILE, --sample N, --n N, --repeats N, --lat-out FILE,
-     --baseline FILE, --write-baseline FILE; boolean flags: --attrib,
-     --latency, --stream, --hdr — matched before the generic rule so
-     they never swallow the following token *)
+  let is_flag s = String.starts_with ~prefix:"--" s in
+  (* boolean flags are matched first so they never swallow the
+     following token *)
   let rec split_flags targets flags = function
     | [] -> (List.rev targets, List.rev flags)
-    | (("--attrib" | "--latency" | "--stream" | "--hdr") as flag) :: rest ->
+    | flag :: rest when List.mem flag bool_flags ->
         split_flags targets ((flag, "true") :: flags) rest
-    | flag :: value :: rest when String.length flag > 2 && String.sub flag 0 2 = "--" ->
+    | flag :: value :: rest when List.mem flag value_flags && not (is_flag value) ->
         split_flags targets ((flag, value) :: flags) rest
-    | t :: rest -> split_flags (t :: targets) flags rest
+    | flag :: _ when List.mem flag value_flags -> usage "%s needs a value" flag
+    | flag :: _ when is_flag flag -> usage "unknown flag %s" flag
+    | t :: rest when List.mem t known_targets -> split_flags (t :: targets) flags rest
+    | t :: _ -> usage "unknown target %s" t
   in
   let targets, flags = split_flags [] [] args in
   let all = targets = [] || targets = [ "all" ] in

@@ -81,6 +81,3 @@ type t = fundecl list
 val fundecl : ?derefs:int list -> ?writes:int list -> string -> stmt list -> fundecl
 (** [fundecl ~derefs ~writes sym body]; [writes] (default none) lists
     the argument positions written through. *)
-
-val pp_buf : Format.formatter -> buf -> unit
-val pp_stmt : Format.formatter -> stmt -> unit

@@ -18,6 +18,10 @@ type cubicle = {
   mutable exports : string list;
   heap_grow_pages : int;
   mutable extra_keys : int list;  (* dedicated window tags this cubicle may use *)
+  runs : (int, bool) Hashtbl.t;
+      (* base page of every run this cubicle owns -> whether [free_pages]
+         may release it (only [alloc_pages] runs are); the length is
+         [Mm.Page_alloc.run_size] *)
 }
 
 type policy = {
@@ -48,8 +52,6 @@ type t = {
       (* the one key allocator; it evicts iff the monitor virtualises
          tags (paper §8), the only record of that choice *)
   mutable cur : Types.cid;
-  page_allocs : (int, int) Hashtbl.t;  (* base page -> npages per cubicle-page alloc *)
-  cubicle_runs : (Types.cid, (int * int) list ref) Hashtbl.t;  (* every page run per cubicle *)
   max_cubicles : int;
 }
 
@@ -250,16 +252,25 @@ let handle_fault t (fault : Hw.Fault.t) =
 
 let monitor_reserved_pages = 16
 
-(* Every page [cid] owns, ascending, from its recorded runs: O(pages
+let run_pages t page = Option.get (Mm.Page_alloc.run_size t.palloc page)
+
+(* [f] on every page [c] owns, ascending, from its run table: O(pages
    owned), not O(machine pages). [alloc_owned_pages] is the only place
-   ownership is assigned and records each run; [release_cubicle] and
-   [free_pages] drop them, so the runs are exactly the ownership map. *)
+   ownership is assigned and records each run; [free_pages] drops its
+   run and [release_cubicle] releases them all with the cubicle, so the
+   runs are exactly the ownership map. *)
+let iter_owned_pages t c f =
+  (* runs are disjoint, so ordering them by base orders the pages *)
+  let bases = List.sort compare (Hashtbl.fold (fun page _ acc -> page :: acc) c.runs []) in
+  List.iter (fun page -> for p = page to page + run_pages t page - 1 do f p done) bases
+
 let owned_pages t cid =
-  match Hashtbl.find_opt t.cubicle_runs cid with
+  match Hashtbl.find_opt t.cubs cid with
   | None -> []
-  | Some runs ->
-      (* runs are disjoint, so ordering them by base orders the pages *)
-      List.concat_map (fun (page, n) -> List.init n (( + ) page)) (List.sort compare !runs)
+  | Some c ->
+      let pages = ref [] in
+      iter_owned_pages t c (fun p -> pages := p :: !pages);
+      List.rev !pages
 
 let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_policy)
     ?(virtualise = false) ~protection () =
@@ -284,8 +295,6 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
       symbols = Hashtbl.create 256;
       keymux = Hw.Keymux.create ~evict:virtualise cpu;
       cur = monitor_cid;
-      page_allocs = Hashtbl.create 64;
-      cubicle_runs = Hashtbl.create 32;
       max_cubicles = 1024;
     }
   in
@@ -294,27 +303,28 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
      pkey_mprotect cost as any runtime key write, but billed to the
      virtualisation layer rather than plain Mpk), billed to whichever
      cubicle's fault-in forced the eviction. The walk covers only the
-     victim's own page runs ([owned_pages]). The page-table hook fires
-     the cross-core TLB shootdowns; Keymux itself scrubs the evicted
-     tag from every core's PKRU and prices those wrpkrus. Without
-     virtualisation nothing is ever evicted and the hook never runs. *)
+     victim's own page runs ([iter_owned_pages]). The page-table hook
+     fires the cross-core TLB shootdowns; Keymux itself scrubs the
+     evicted tag from every core's PKRU and prices those wrpkrus.
+     Without virtualisation nothing is ever evicted and the hook never
+     runs. *)
   Hw.Keymux.set_evict_hook t.keymux
     (Some
        (fun ~cid ~vkey:_ ~phys ->
          let cost = Hw.Cpu.cost cpu in
          let pt = Hw.Cpu.page_table cpu in
          let count = ref 0 in
-         if Hashtbl.mem t.cubs cid then
-           List.iter
-             (fun page ->
-               if Hw.Page_table.key pt page = phys then begin
-                 Hw.Cost.charge_cat cost Telemetry.Attrib.Keymux
-                   cost.Hw.Cost.model.Hw.Cost.pkey_set;
-                 Hw.Page_table.set_key pt page monitor_key;
-                 emit t (Telemetry.Event.Retag { page; to_key = monitor_key });
-                 incr count
-               end)
-             (owned_pages t cid);
+         (match Hashtbl.find_opt t.cubs cid with
+         | Some c ->
+             iter_owned_pages t c (fun page ->
+                 if Hw.Page_table.key pt page = phys then begin
+                   Hw.Cost.charge_cat cost Telemetry.Attrib.Keymux
+                     cost.Hw.Cost.model.Hw.Cost.pkey_set;
+                   Hw.Page_table.set_key pt page monitor_key;
+                   emit t (Telemetry.Event.Retag { page; to_key = monitor_key });
+                   incr count
+                 end)
+         | None -> ());
          !count));
   (* Monitor's own pages: present, trusted key. *)
   for p = 0 to monitor_reserved_pages - 1 do
@@ -333,6 +343,7 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
       exports = [];
       heap_grow_pages = 4;
       extra_keys = [];
+      runs = Hashtbl.create 8;
     }
   in
   Hashtbl.replace t.cubs monitor_cid mon_cubicle;
@@ -352,9 +363,7 @@ let alloc_owned_pages t cid n ~kind ~perm =
     Hw.Cpu.map_page t.m_cpu p perm ~key;
     Mm.Page_meta.assign t.meta ~page:p ~owner:cid ~kind
   done;
-  (match Hashtbl.find_opt t.cubicle_runs cid with
-  | Some runs -> runs := (page, n) :: !runs
-  | None -> Hashtbl.replace t.cubicle_runs cid (ref [ (page, n) ]));
+  Hashtbl.replace c.runs page false;
   Hw.Addr.base_of_page page
 
 (* Scrub, unmap and return one page run: the one loop behind
@@ -366,7 +375,6 @@ let release_run t page n =
     Mm.Page_meta.release t.meta ~page:p;
     Hw.Cpu.unmap_page t.m_cpu p
   done;
-  Hashtbl.remove t.page_allocs page;
   Mm.Page_alloc.free t.palloc page
 
 (* Return everything a cubicle holds: every page run, its key (the
@@ -375,11 +383,7 @@ let release_run t page n =
    still caching it), its name and its cid. The one release path,
    shared by [destroy_cubicle] and [create_cubicle]'s rollback. *)
 let release_cubicle t c =
-  (match Hashtbl.find_opt t.cubicle_runs c.cid with
-  | Some runs ->
-      List.iter (fun (page, n) -> release_run t page n) !runs;
-      Hashtbl.remove t.cubicle_runs c.cid
-  | None -> ());
+  Hashtbl.iter (fun page _ -> release_run t page (run_pages t page)) c.runs;
   (match c.kind with
   | Types.Isolated -> Hw.Keymux.free t.keymux c.key
   | Types.Shared | Types.Trusted -> ());
@@ -429,6 +433,7 @@ let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
       exports = [];
       heap_grow_pages = max 4 heap_pages;
       extra_keys = [];
+      runs = Hashtbl.create 8;
     }
   in
   Hashtbl.replace t.cubs cid cub;
@@ -616,7 +621,7 @@ let alloc_pages t cid n ~kind =
      happens before the system runs and is not charged). *)
   if mpk_on t then Hw.Cost.charge_cat (cost t) Telemetry.Attrib.Mpk (n * (cost t).model.pkey_set);
   let base = alloc_owned_pages t cid n ~kind ~perm:Hw.Page_table.perm_rw in
-  Hashtbl.replace t.page_allocs (Hw.Addr.page_of base) n;
+  Hashtbl.replace (get t cid).runs (Hw.Addr.page_of base) true;
   base
 
 let free_pages t cid base =
@@ -624,17 +629,20 @@ let free_pages t cid base =
   (* returning pages strictly reassigns their owner (L4Sec-style), so
      the key write is paid on free as well *)
   let page = Hw.Addr.page_of base in
-  match Hashtbl.find_opt t.page_allocs page with
-  | None -> Types.error "free_pages: 0x%x is not an allocation base" base
-  | Some n ->
-      (match Mm.Page_meta.owner t.meta page with
-      | Some owner when owner = cid -> ()
-      | _ -> Types.error "free_pages: cubicle %d does not own 0x%x" cid base);
-      (match Hashtbl.find_opt t.cubicle_runs cid with
-      | Some runs -> runs := List.filter (fun (p, _) -> p <> page) !runs
-      | None -> ());
+  (* a base outside the machine (negative ones included: [page_of] is a
+     logical shift) is not an allocation base either *)
+  let owner =
+    if page >= Hw.Cpu.npages t.m_cpu then None
+    else Option.bind (Mm.Page_meta.owner t.meta page) (Hashtbl.find_opt t.cubs)
+  in
+  match owner with
+  | Some o when Hashtbl.find_opt o.runs page = Some true ->
+      if o.cid <> cid then Types.error "free_pages: cubicle %d does not own 0x%x" cid base;
+      Hashtbl.remove o.runs page;
+      let n = run_pages t page in
       if mpk_on t then Hw.Cost.charge_cat (cost t) Telemetry.Attrib.Mpk (n * (cost t).model.pkey_set);
       release_run t page n
+  | _ -> Types.error "free_pages: 0x%x is not an allocation base" base
 
 (* --- window management (Table 1) ---------------------------------------- *)
 

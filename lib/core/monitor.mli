@@ -130,7 +130,9 @@ val ctx_for : t -> Types.cid -> ctx
 val alloc_owned_pages :
   t -> Types.cid -> int -> kind:Mm.Page_meta.kind -> perm:Hw.Page_table.perm -> int
 (** Loader/monitor primitive: map [n] fresh pages owned by the cubicle,
-    tagged with its key. Returns the base address. *)
+    tagged with its key, and enter the run in the cubicle's run table
+    as one {!free_pages} may not release (only {!alloc_pages} runs
+    are). Returns the base address. *)
 
 val register_exports : t -> Types.cid -> export_spec list -> unit
 (** Raises {!Types.Error} on duplicate symbols (the system has one flat
@@ -166,6 +168,10 @@ val malloc : t -> Types.cid -> ?align:int -> int -> int
 val free : t -> Types.cid -> int -> unit
 val alloc_pages : t -> Types.cid -> int -> kind:Mm.Page_meta.kind -> int
 val free_pages : t -> Types.cid -> int -> unit
+(** Release a run {!alloc_pages} returned. Raises {!Types.Error}: "not
+    an allocation base" unless [base] starts a live {!alloc_pages} run
+    (stack, heap and loaded runs are never freeable), else "does not
+    own" if that run belongs to another cubicle. *)
 
 (** {1 Window management (Table 1; ownership enforced)} *)
 
@@ -254,8 +260,9 @@ val page_owner : t -> int -> Types.cid option
 
 val owned_pages : t -> Types.cid -> int list
 (** Every page the cubicle owns, ascending — the page set a Keymux
-    eviction walks. Read from the cubicle's recorded page runs, so it
-    costs O(pages owned), not O(machine pages). *)
+    eviction walks; [[]] for a destroyed cid. Read from the cubicle's
+    run table (base pages, with lengths from {!Mm.Page_alloc.run_size}),
+    so it costs O(pages owned), not O(machine pages). *)
 
 val retag_count : t -> int
 

@@ -109,7 +109,6 @@ let guard_addr t cid sym =
   | Some a -> a
   | None -> Types.error "no guard entry for cubicle %d, symbol %s" cid sym
 
-let thunk_cid _ = Monitor.monitor_cid
 let syms t = Hashtbl.fold (fun sym _ acc -> sym :: acc) t.thunks [] |> List.sort compare
 let has_thunk t sym = Hashtbl.mem t.thunks sym
 let has_guard t cid sym = Option.is_some (find_guard t cid sym)

@@ -45,9 +45,6 @@ val thunk_addr : t -> string -> int
 val guard_addr : t -> Types.cid -> string -> int
 (** Address of the guard entry for (cubicle, symbol). *)
 
-val thunk_cid : t -> Types.cid
-(** The cubicle owning the thunk pages (the monitor). *)
-
 (** {2 Introspection (CubiCheck static plane)} *)
 
 val syms : t -> string list

@@ -26,18 +26,13 @@ type table = {
   tbl_owner : Types.cid;
   ncubicles : int;
   mutable next_wid : int;
-  (* One descriptor array per data class, as in the paper; each has a
-     fixed capacity that the monitor extends on request (§5.3: "if a
+  (* One descriptor array per data class, as in the paper, newest
+     window first, at the class's [slot]; [caps] holds each array's
+     fixed capacity, which the monitor extends on request (§5.3: "if a
      window descriptor array runs out of free entries, the user code
      asks the monitor to extend it"). *)
-  mutable global_arr : t list;
-  mutable stack_arr : t list;
-  mutable heap_arr : t list;
-  mutable code_arr : t list;  (* unused in practice; completeness *)
-  mutable global_cap : int;
-  mutable stack_cap : int;
-  mutable heap_cap : int;
-  mutable code_cap : int;
+  arrs : t list array;
+  caps : int array;
   (* Page-indexed ACL lookup: (class, page) -> windows with a range
      touching that page. Standing sendfile grants make the fault-path
      lookup hot; the index replaces the linear array scan while
@@ -48,51 +43,29 @@ type table = {
 
 let initial_capacity = 8
 
+(* The slot order is [all]'s order, which [live_windows] and with it
+   the order of teardown's Destroy events follow. *)
+let slot = function
+  | Mm.Page_meta.Global -> 0
+  | Mm.Page_meta.Stack -> 1
+  | Mm.Page_meta.Heap -> 2
+  | Mm.Page_meta.Code -> 3
+
 let create_table ~owner ~ncubicles =
   {
     tbl_owner = owner;
     ncubicles;
     next_wid = 1;
-    global_arr = [];
-    stack_arr = [];
-    heap_arr = [];
-    code_arr = [];
-    global_cap = initial_capacity;
-    stack_cap = initial_capacity;
-    heap_cap = initial_capacity;
-    code_cap = initial_capacity;
+    arrs = Array.make 4 [];
+    caps = Array.make 4 initial_capacity;
     index = Hashtbl.create 64;
   }
 
 let owner t = t.tbl_owner
-
-let arr_of table (klass : Mm.Page_meta.kind) =
-  match klass with
-  | Mm.Page_meta.Global -> table.global_arr
-  | Mm.Page_meta.Stack -> table.stack_arr
-  | Mm.Page_meta.Heap -> table.heap_arr
-  | Mm.Page_meta.Code -> table.code_arr
-
-let set_arr table (klass : Mm.Page_meta.kind) v =
-  match klass with
-  | Mm.Page_meta.Global -> table.global_arr <- v
-  | Mm.Page_meta.Stack -> table.stack_arr <- v
-  | Mm.Page_meta.Heap -> table.heap_arr <- v
-  | Mm.Page_meta.Code -> table.code_arr <- v
-
-let capacity table (klass : Mm.Page_meta.kind) =
-  match klass with
-  | Mm.Page_meta.Global -> table.global_cap
-  | Mm.Page_meta.Stack -> table.stack_cap
-  | Mm.Page_meta.Heap -> table.heap_cap
-  | Mm.Page_meta.Code -> table.code_cap
-
-let extend table (klass : Mm.Page_meta.kind) =
-  match klass with
-  | Mm.Page_meta.Global -> table.global_cap <- 2 * table.global_cap
-  | Mm.Page_meta.Stack -> table.stack_cap <- 2 * table.stack_cap
-  | Mm.Page_meta.Heap -> table.heap_cap <- 2 * table.heap_cap
-  | Mm.Page_meta.Code -> table.code_cap <- 2 * table.code_cap
+let arr_of table klass = table.arrs.(slot klass)
+let set_arr table klass v = table.arrs.(slot klass) <- v
+let capacity table klass = table.caps.(slot klass)
+let extend table klass = table.caps.(slot klass) <- 2 * capacity table klass
 
 let init table ~klass =
   if List.length (arr_of table klass) >= capacity table klass then
@@ -116,10 +89,10 @@ let init table ~klass =
   set_arr table klass (w :: arr_of table klass);
   w
 
-let all table = table.global_arr @ table.stack_arr @ table.heap_arr @ table.code_arr
+let all table = Array.fold_right ( @ ) table.arrs []
 
 let find table wid =
-  match List.find_opt (fun w -> w.wid = wid && w.alive) (all table) with
+  match Array.find_map (List.find_opt (fun w -> w.wid = wid && w.alive)) table.arrs with
   | Some w -> w
   | None -> Types.error "window %d not found in cubicle %d" wid table.tbl_owner
 

@@ -1,7 +1,7 @@
 (** Window descriptors: user-managed, discretionary ACLs for memory.
 
-    Each cubicle has three window descriptor arrays — for global, stack
-    and heap data (paper §5.3). A descriptor holds a set of memory
+    Each cubicle has one window descriptor array per page class — the
+    paper's global, stack and heap data (§5.3), plus code. A descriptor holds a set of memory
     ranges owned by the cubicle and a bitmask of cubicles the window is
     currently open for. Window 0 is implicit (a cubicle always accesses
     its own memory) and is not represented here.
@@ -23,10 +23,6 @@ type perm = R | RW
 type access = Read | Write
 (** What a peer is trying to do through the window. *)
 
-val perm_allows : perm -> access -> bool
-(** The permission lattice: [RW] allows everything, [R] allows only
-    [Read]. *)
-
 type range = { ptr : int; size : int; mutable perm : perm }
 
 type t = private {
@@ -42,7 +38,8 @@ type t = private {
 }
 
 type table
-(** The three per-cubicle descriptor arrays plus wid allocation. *)
+(** One cubicle's descriptor arrays, one per page class, each with its
+    own capacity, plus wid allocation and the page index. *)
 
 val create_table : owner:Types.cid -> ncubicles:int -> table
 val owner : table -> Types.cid
@@ -121,4 +118,7 @@ val search : table -> klass:Mm.Page_meta.kind -> addr:int -> (t * int) option
 val set_dedicated_key : t -> int option -> unit
 
 val live_windows : table -> t list
+(** Live windows grouped by class in Global, Stack, Heap, Code order,
+    newest first within a class. *)
+
 val count : table -> int

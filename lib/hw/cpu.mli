@@ -73,8 +73,6 @@ val bus : t -> Telemetry.Bus.t
 val tlb : t -> Tlb.t
 (** The current core's TLB. *)
 
-val tlb_enabled : t -> bool
-
 val set_tlb_enabled : t -> bool -> unit
 (** Applies to every core. Off forces every access down the full-walk
     slow path (used by the benchmark harness to measure the TLB's
@@ -84,8 +82,6 @@ val set_handler : t -> handler option -> unit
 
 val mpk_enabled : t -> bool
 val set_mpk_enabled : t -> bool -> unit
-
-val exec_follows_access : t -> bool
 
 val set_exec_follows_access : t -> bool -> unit
 (** The paper's proposed hardware modification: when on, instruction
@@ -173,8 +169,6 @@ val priv_fill : t -> int -> int -> char -> unit
 (** [priv_fill t addr len c] sets [len] bytes to [c] in place, charged
     as a [len]-byte {!priv_write_bytes} (the monitor's page scrub). *)
 
-val priv_read_u32 : t -> int -> int
-val priv_write_u32 : t -> int -> int -> unit
 
 (** {1 Page-table management} — loader/monitor only. *)
 

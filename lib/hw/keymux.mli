@@ -36,9 +36,6 @@ val create : evict:bool -> Cpu.t -> t
 val evicts : t -> bool
 (** Whether [t] was created with [~evict:true]. *)
 
-val is_virtual : int -> bool
-(** [is_virtual k] — keys >= [Pkru.nkeys] are virtual. *)
-
 val set_evict_hook : t -> (cid:int -> vkey:int -> phys:int -> int) option -> unit
 (** The monitor's page walk: called with the victim's cubicle, virtual
     key and (former) physical tag; must retag the victim's

@@ -4,7 +4,6 @@ type state = {
   console : Buffer.t;
   echo : bool;
   mutable rand_state : int;
-  mutable halted : bool;
 }
 
 let putc_fn state _ctx (args : int array) =
@@ -22,12 +21,11 @@ let rand_fn state _ctx _ =
   state.rand_state <- x land max_int;
   state.rand_state land 0x3FFFFFFF
 
-let halt_fn state _ctx _ =
-  state.halted <- true;
-  0
+(* [plat_halt] is accepted and ignored: nothing in the system stops on it. *)
+let halt_fn _ctx _ = 0
 
 let make ?(echo = false) () =
-  let state = { console = Buffer.create 256; echo; rand_state = 0x2545F491; halted = false } in
+  let state = { console = Buffer.create 256; echo; rand_state = 0x2545F491 } in
   let comp =
     Builder.component "PLAT" ~code_ops:512 ~heap_pages:2 ~stack_pages:2
       ~iface:
@@ -40,11 +38,9 @@ let make ?(echo = false) () =
         [
           { Monitor.sym = "plat_putc"; fn = putc_fn state; stack_bytes = 0 };
           { Monitor.sym = "plat_rand"; fn = rand_fn state; stack_bytes = 0 };
-          { Monitor.sym = "plat_halt"; fn = halt_fn state; stack_bytes = 0 };
+          { Monitor.sym = "plat_halt"; fn = halt_fn; stack_bytes = 0 };
         ]
   in
   (state, comp)
 
 let console_contents state = Buffer.contents state.console
-let clear_console state = Buffer.clear state.console
-let halted state = state.halted

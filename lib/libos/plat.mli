@@ -8,5 +8,3 @@ val make : ?echo:bool -> unit -> state * Cubicle.Builder.component
     [plat_halt()]. With [echo] the console also prints to stdout. *)
 
 val console_contents : state -> string
-val clear_console : state -> unit
-val halted : state -> bool

@@ -115,24 +115,8 @@ let category_total t cat =
     (fun acc rows -> Array.fold_left (fun acc r -> acc + r.(i)) acc rows)
     0 t.cores
 
-(* Per-core views, used by the SMP scheduler and bench to show one
+(* Per-core view, used by the SMP scheduler and bench to check one
    attribution table per simulated core. *)
-
-let core_row t ~core ~cid =
-  if core >= 0 && core < Array.length t.cores && cid >= 0 && cid < Array.length t.cores.(core)
-  then Array.copy t.cores.(core).(cid)
-  else Array.make ncat 0
-
-let core_rows t ~core =
-  if core < 0 || core >= Array.length t.cores then []
-  else begin
-    let rows = t.cores.(core) in
-    let acc = ref [] in
-    for cid = Array.length rows - 1 downto 0 do
-      if row_total rows.(cid) > 0 then acc := (cid, Array.copy rows.(cid)) :: !acc
-    done;
-    !acc
-  end
 
 let core_total t ~core =
   if core < 0 || core >= Array.length t.cores then 0

@@ -80,8 +80,6 @@ val category_total : t -> category -> int
     extends per core: [core_total t ~core] equals the machine's
     per-core cycle counter, and the core totals sum to {!total}. *)
 
-val core_row : t -> core:int -> cid:int -> int array
-val core_rows : t -> core:int -> (int * int array) list
 val core_total : t -> core:int -> int
 
 val reset : t -> unit

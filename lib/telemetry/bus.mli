@@ -58,8 +58,6 @@ type t = {
     (the same deal as [Hw.Tlb]). Treat it as owned by the machine: all
     other code must go through the functions below. *)
 
-val default_capacity : int
-
 val create : ?capacity:int -> ?now:(unit -> int) -> unit -> t
 (** Tracing starts disabled, unsampled, with no sink and no latency
     sink; [now] defaults to a constant 0 until {!set_now} installs the

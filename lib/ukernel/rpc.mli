@@ -27,5 +27,4 @@ val copy_in : t -> bytes -> unit
 val copy_out : t -> int -> bytes
 (** Read data back out of the message buffer (charged copy). *)
 
-val buffer_addr : t -> int
 val rpc_count : t -> int

@@ -723,7 +723,24 @@ let test_free_pages_errors () =
   Monitor.free_pages mon foo base;
   Alcotest.check_raises "double free"
     (Types.Error (Printf.sprintf "free_pages: 0x%x is not an allocation base" base))
-    (fun () -> Monitor.free_pages mon foo base)
+    (fun () -> Monitor.free_pages mon foo base);
+  (* Only alloc_pages runs are freeable: the stack and the initial heap
+     are run bases too, but not allocation bases, for their owner or
+     anyone else. *)
+  let meta = Monitor.meta mon in
+  let heap_base =
+    Hw.Addr.base_of_page
+      (List.find
+         (fun p -> Mm.Page_meta.kind meta p = Some Mm.Page_meta.Heap)
+         (Oracle.owned_by_cubicle mon foo))
+  in
+  let stack_base = Monitor.stack_base mon foo in
+  List.iter
+    (fun (caller, b) ->
+      Alcotest.check_raises "stack/heap run not freeable"
+        (Types.Error (Printf.sprintf "free_pages: 0x%x is not an allocation base" b))
+        (fun () -> Monitor.free_pages mon caller b))
+    [ (foo, stack_base); (foo, heap_base); (bar, stack_base) ]
 
 (* --- teardown (dlclose) ------------------------------------------------------------- *)
 
@@ -869,22 +886,24 @@ let prop_scan_catches_planted =
 
 let prop_search_index_matches_linear =
   (* Differential test for the page-indexed ACL lookup: after any
-     sequence of window create / grant / revoke / destroy operations,
-     [search] must agree with the original linear scan on both the
-     winning wid and the charged "descriptors inspected" count, and
-     [covers] must agree with a per-byte [contains] sweep. *)
+     sequence of window create (in any of the four classes) / grant /
+     revoke / destroy operations, [search] must agree per class with
+     the original linear scan on both the winning wid and the charged
+     "descriptors inspected" count, and [covers] must agree with a
+     per-byte [contains] sweep. *)
   QCheck.Test.make ~count:300 ~name:"window: page index = linear search (wid & inspected)"
     QCheck.(
       list_of_size (Gen.int_range 1 60)
-        (quad (int_bound 3) (int_bound 7) (int_bound 31) (int_bound 8)))
+        (pair (quad (int_bound 3) (int_bound 7) (int_bound 31) (int_bound 8)) (int_bound 3)))
     (fun script ->
+      let classes = Mm.Page_meta.[ Global; Stack; Heap; Code ] in
       let tbl = Window.create_table ~owner:1 ~ncubicles:4 in
       let windows = ref [] in
       let pick i =
         match !windows with [] -> None | l -> Some (List.nth l (i mod List.length l))
       in
       List.iter
-        (fun (op, wi, page, sz) ->
+        (fun ((op, wi, page, sz), k) ->
           (* sub-page granularity on purpose: ranges share pages, span
              several, start mid-page *)
           let ptr = 0x1000 + (page * 1024) and size = 1 + (sz * 700) in
@@ -893,7 +912,7 @@ let prop_search_index_matches_linear =
           | 0 ->
               if List.length !windows < 12 then
                 ignoring (fun () ->
-                    windows := Window.init tbl ~klass:Mm.Page_meta.Heap :: !windows)
+                    windows := Window.init tbl ~klass:(List.nth classes k) :: !windows)
           | 1 -> (
               match pick wi with
               | Some w -> ignoring (fun () -> Window.add_range tbl w ~ptr ~size)
@@ -911,10 +930,13 @@ let prop_search_index_matches_linear =
       let searches_agree = ref true in
       for a = 0 to 100 do
         let addr = 0x1000 + (a * 512) in
-        if
-          norm (Window.search tbl ~klass:Mm.Page_meta.Heap ~addr)
-          <> norm (Oracle.search_linear tbl ~klass:Mm.Page_meta.Heap ~addr)
-        then searches_agree := false
+        List.iter
+          (fun klass ->
+            if
+              norm (Window.search tbl ~klass ~addr)
+              <> norm (Oracle.search_linear tbl ~klass ~addr)
+            then searches_agree := false)
+          classes
       done;
       let naive_covers w ~ptr ~size =
         let rec go a = a >= ptr + size || (Window.contains w a && go (a + 1)) in

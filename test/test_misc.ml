@@ -94,7 +94,13 @@ let test_window_capacity_and_extend () =
     (List.length
        (List.filter
           (fun w -> w.Window.klass = Mm.Page_meta.Heap)
-          (Window.live_windows tbl)))
+          (Window.live_windows tbl)));
+  check_int "stack capacity unchanged" 8 (Window.capacity tbl Mm.Page_meta.Stack);
+  ignore (Window.init tbl ~klass:Mm.Page_meta.Code);
+  ignore (Window.init tbl ~klass:Mm.Page_meta.Global);
+  check_bool "live windows grouped Global, Stack, Heap, Code" true
+    (List.map (fun w -> w.Window.klass) (Window.live_windows tbl)
+    = Mm.Page_meta.([ Global; Stack ] @ List.init 9 (fun _ -> Heap) @ [ Code ]))
 
 let test_window_destroy_frees_slot () =
   let tbl = Window.create_table ~owner:1 ~ncubicles:4 in
