@@ -1,22 +1,17 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§6). Results are simulated cycles from the machine's
-   cost model, reported in the paper's units. Run with no arguments for
-   everything, or with a subset of: table2 fig5 fig6 fig7 fig8 fig10a
-   fig10b ablation micro hw smp. The extra target `trace` (never part of
-   `all`) captures the Fig. 2 write path on the telemetry bus and writes
-   trace.json / trace.folded; `--sample N` keeps 1 in N events and
-   `--stream` writes the JSON incrementally through a bus sink instead
-   of from the ring. `fig6 --attrib` appends the per-cubicle
-   cycle-attribution tables; `--latency` (on fig6/fig10a/fig10b)
-   appends per-edge call-latency percentiles and, for fig6, writes
-   BENCH_latency.json. `--golden FILE` / `--write-golden FILE` check or
-   write the flat counters of fig6, ablation, hw, smp, sendfile and
-   keys; like `--out`, they apply only to targets named on the command
-   line. EXPERIMENTS.md records paper-vs-measured numbers. *)
+   evaluation (§6), plus the ablation, the gated suites (hw, smp,
+   sendfile, keys, analyze) and the telemetry trace. Results are
+   simulated cycles from the machine's cost model, reported in the
+   paper's units; EXPERIMENTS.md records paper-vs-measured numbers. The
+   [targets] table at the end of this file lists every target and the
+   flags it reads; a usage error prints it. *)
 
 open Cubicle
 
 let fprintf = Printf.printf
+
+(* Every failed check prints its report on stdout and exits 1. *)
+let fail fmt = Printf.ksprintf (fun s -> print_string s; exit 1) fmt
 
 let heading title =
   fprintf "\n=======================================================================\n";
@@ -159,10 +154,8 @@ let attrib_table mon =
     (fun c -> fprintf "%13d" (Telemetry.Attrib.category_total attrib c))
     Telemetry.Attrib.categories;
   fprintf "%15d %5.1f%%\n" grand 100.;
-  if grand <> Hw.Cost.cycles cost then begin
-    fprintf "FATAL: attribution total %d <> Cost.cycles %d\n" grand (Hw.Cost.cycles cost);
-    exit 1
-  end
+  if grand <> Hw.Cost.cycles cost then
+    fail "FATAL: attribution total %d <> Cost.cycles %d\n" grand (Hw.Cost.cycles cost)
 
 (* Per-edge call-latency percentiles from the bus's latency plane. The
    sink is fed from the same counter-plane sites as calls_between, so
@@ -200,11 +193,9 @@ let latency_table mon =
             | Some h -> Telemetry.Hist.count h
             | None -> 0
           in
-          if c <> n then begin
-            fprintf "FATAL: edge %s->%s: latency count %d <> calls_between %d\n"
-              (cubicle_label mon caller) (cubicle_label mon callee) c n;
-            exit 1
-          end)
+          if c <> n then
+            fail "FATAL: edge %s->%s: latency count %d <> calls_between %d\n"
+              (cubicle_label mon caller) (cubicle_label mon callee) c n)
         (Telemetry.Bus.edges bus)
 
 let json_key_sanitize s = String.map (function ' ' | '/' -> '_' | c -> c) s
@@ -229,15 +220,18 @@ let latency_json_rows mon ~config =
           ])
         (Telemetry.Latency.edges lat)
 
+(* Values arrive rendered, so a row may carry a float in its own format. *)
 let write_flat_json path rows =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   List.iteri
     (fun i (k, v) ->
-      Printf.fprintf oc "  \"%s\": %d%s\n" k v (if i = List.length rows - 1 then "" else ","))
+      Printf.fprintf oc "  \"%s\": %s%s\n" k v (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "}\n";
   close_out oc
+
+let render rows = List.map (fun (k, v) -> (k, string_of_int v)) rows
 
 (* Golden files are flat {"key": int} objects; this scanner is all the
    JSON we need. *)
@@ -273,14 +267,18 @@ let read_flat_json path =
 
 (* Every golden gate: the simulator is deterministic, so each measured
    row must equal the checked-in value exactly, and the measured and
-   golden key sets must agree both ways. [target] is the bench command
-   line that regenerates the file; [what] names the guarded values. *)
-let check_golden ~target ~what path rows =
-  let regen = Printf.sprintf "  dune exec bench/main.exe -- %s --write-golden %s\n" target path in
-  if not (Sys.file_exists path) then begin
-    fprintf "GOLDEN FILE MISSING: %s\nGenerate it with:\n%s" path regen;
-    exit 1
-  end;
+   golden key sets must agree both ways. [what] names the guarded
+   values. The command line that ran, with --write-golden in place of
+   --golden, regenerates the file. *)
+let check_golden ~what path rows =
+  let regen =
+    List.tl (Array.to_list Sys.argv)
+    |> List.map (fun a -> if a = "--golden" then "--write-golden" else a)
+    |> String.concat " "
+    |> Printf.sprintf "  dune exec bench/main.exe -- %s\n"
+  in
+  if not (Sys.file_exists path) then
+    fail "GOLDEN FILE MISSING: %s\nGenerate it with:\n%s" path regen;
   let golden = read_flat_json path in
   let drift =
     List.filter_map
@@ -304,18 +302,35 @@ let check_golden ~target ~what path rows =
   end;
   fprintf "\ngolden check OK: %s match %s\n" what path
 
-(* --write-golden PATH and --golden PATH for one target's flat rows. *)
-let golden_gate ~target ~what ?golden ?write_golden rows =
-  Option.iter
-    (fun path ->
-      write_flat_json path rows;
-      fprintf "wrote golden %s to %s\n" what path)
-    write_golden;
-  Option.iter (fun path -> check_golden ~target ~what path rows) golden
+(* The flags routed to one target, as (flag, value); a boolean flag's
+   value is "true". Integer flags were checked to be >= 1 when parsed. *)
+type args = (string * string) list
 
-let fig6 ?(n = 150) ?(attrib = false) ?(latency = false) ?(hdr = false)
-    ?(lat_out = "BENCH_latency.json") ?golden ?write_golden () =
-  let latency = latency || hdr || golden <> None || write_golden <> None in
+let arg args name = List.assoc_opt name args
+let has args name = List.mem_assoc name args
+
+let int_arg args name ~default =
+  Option.fold ~none:default ~some:int_of_string (arg args name)
+
+(* What a gated target returns: the rows of its output file, values
+   rendered, and the integer rows its golden file pins. *)
+type rows = { file : (string * string) list; pinned : (string * int) list }
+
+let int_rows rows = { file = render rows; pinned = rows }
+
+(* One "[name]" section per run, each holding [table] of its monitor. *)
+let sections table runs =
+  List.iter
+    (fun (name, mon) ->
+      fprintf "\n[%s]\n" name;
+      table mon)
+    runs
+
+let fig6 args =
+  let n = int_arg args "--n" ~default:150 in
+  let attrib = has args "--attrib" and hdr = has args "--hdr" in
+  let lat_out = Option.value (arg args "--lat-out") ~default:"BENCH_latency.json" in
+  let latency = hdr || List.exists (has args) [ "--latency"; "--golden"; "--write-golden" ] in
   heading "Figure 6: SQLite speedtest1 query execution times (simulated ms)";
   let configs =
     [
@@ -372,28 +387,22 @@ let fig6 ?(n = 150) ?(attrib = false) ?(latency = false) ?(hdr = false)
   fprintf "\nGroup averages (paper: light group ~1.8x, heavy group ~8x):\n";
   print_group "light queries" Minidb.Speedtest.Light;
   print_group "heavy queries" Minidb.Speedtest.Heavy;
+  let mons = List.map (fun (name, (_, mon)) -> (name, mon)) full_runs in
   if attrib then begin
     fprintf
       "\n§6.4 overhead decomposition: per-cubicle cycle attribution (full run incl. boot)\n";
-    List.iter
-      (fun (name, (_, mon)) ->
-        fprintf "\n[%s]\n" name;
-        attrib_table mon)
-      full_runs
+    sections attrib_table mons
   end;
-  if latency then begin
+  if not latency then int_rows []
+  else begin
     fprintf
       "\nPer-edge call latency (simulated cycles; counters reset post-boot so\n\
        per-edge counts equal the bus's calls_between — checked):\n";
-    List.iter
-      (fun (name, (_, mon)) ->
-        fprintf "\n[%s]\n" name;
-        latency_table mon)
-      full_runs;
-    let rows =
-      List.concat_map (fun (name, (_, mon)) -> latency_json_rows mon ~config:name) full_runs
-    in
-    write_flat_json lat_out rows;
+    sections latency_table mons;
+    let rows = List.concat_map (fun (name, mon) -> latency_json_rows mon ~config:name) mons in
+    (* BENCH_latency.json is shared with fig7, so fig6 writes it here
+       rather than through the table walk's --out *)
+    write_flat_json lat_out (render rows);
     fprintf "\nwrote %s\n" lat_out;
     if hdr then begin
       (* HdrHistogram-compatible percentile dump, loadable by hdr-plot
@@ -404,7 +413,7 @@ let fig6 ?(n = 150) ?(attrib = false) ?(latency = false) ?(hdr = false)
          else lat_out)
         ^ ".hdr"
       in
-      let mon = snd (List.assoc "CubicleOS" full_runs) in
+      let mon = List.assoc "CubicleOS" mons in
       let bus = Monitor.bus mon in
       (match Telemetry.Bus.latency bus with
       | None -> ()
@@ -418,14 +427,14 @@ let fig6 ?(n = 150) ?(attrib = false) ?(latency = false) ?(hdr = false)
           close_out oc;
           fprintf "wrote HdrHistogram percentile dump to %s\n" hdr_out)
     end;
-    golden_gate
-      ~target:(Printf.sprintf "fig6 --latency --n %d" n)
-      ~what:"per-edge latency percentiles" ?golden ?write_golden rows
+    int_rows rows
   end
 
 (* --- Figure 7: NGINX download latency vs transfer size ---------------------- *)
 
-let fig7 ?(repeats = 3) ?(latency = false) ?(lat_out = "BENCH_latency.json") () =
+let fig7 args =
+  let repeats = int_arg args "--repeats" ~default:3 and latency = has args "--latency" in
+  let lat_out = Option.value (arg args "--lat-out") ~default:"BENCH_latency.json" in
   heading "Figure 7: NGINX download latency vs transfer size (simulated ms)";
   let sizes = List.init 14 (fun i -> 1024 lsl i) (* 1 KiB .. 8 MiB *) in
   let run protection =
@@ -462,9 +471,8 @@ let fig7 ?(repeats = 3) ?(latency = false) ?(lat_out = "BENCH_latency.json") () 
        NGINX->LWIP for recv/send, LWIP->NETDEV per frame; counters reset\n\
        post-boot so per-edge counts equal the bus's calls_between — checked):\n";
     let runs = [ ("fig7-baseline", base_mon); ("fig7-CubicleOS", full_mon) ] in
-    List.iter
-      (fun (name, mon) ->
-        fprintf "\n[%s]\n" name;
+    sections
+      (fun mon ->
         latency_table mon;
         (* call out the two edges Figure 7's overhead story hangs on *)
         let bus = Monitor.bus mon in
@@ -501,13 +509,14 @@ let fig7 ?(repeats = 3) ?(latency = false) ?(lat_out = "BENCH_latency.json") () 
       prior
       @ List.concat_map (fun (name, mon) -> latency_json_rows mon ~config:name) runs
     in
-    write_flat_json lat_out rows;
+    write_flat_json lat_out (render rows);
     fprintf "\nwrote %s\n" lat_out
   end
 
 (* --- Figures 9/10: partitioning comparison ----------------------------------- *)
 
-let fig10a ?(n = 120) ?(latency = false) () =
+let fig10a args =
+  let n = int_arg args "--n" ~default:120 and latency = has args "--latency" in
   heading "Figure 10a: slowdown vs Linux (speedtest1 average)";
   fprintf "(Figure 9: '3 components' merges the fs driver into the VFS;\n";
   fprintf " '4 components' separates RAMFS into its own compartment)\n\n";
@@ -545,14 +554,11 @@ let fig10a ?(n = 120) ?(latency = false) () =
     fprintf
       "\nPer-edge call latency (trampoline edges counter-checked; the Genode\n\
        configs' kernel RPC edges are latency-only observations):\n";
-    List.iter
-      (fun (name, _, mon) ->
-        fprintf "\n[%s]\n" name;
-        latency_table mon)
-      runs
+    sections latency_table (List.map (fun (name, _, mon) -> (name, mon)) runs)
   end
 
-let fig10b ?(n = 120) ?(latency = false) () =
+let fig10b args =
+  let n = int_arg args "--n" ~default:120 and latency = has args "--latency" in
   heading "Figure 10b: slowdown of 4 components vs 3 components";
   let open Ukernel.Compose in
   (* keep the 4-component monitors when --latency: those deployments are
@@ -591,16 +597,12 @@ let fig10b ?(n = 120) ?(latency = false) () =
     results;
   if latency then begin
     fprintf "\nPer-edge call latency of the 4-component deployments:\n";
-    List.iter
-      (fun (name, mon) ->
-        fprintf "\n[%s]\n" name;
-        latency_table mon)
-      (List.rev !kept)
+    sections latency_table (List.rev !kept)
   end
 
 (* --- Ablations: the design-space choices of §5.6/§8 --------------------------- *)
 
-let ablation ?golden ?write_golden () =
+let ablation _args =
   heading "Ablation: window mapping/revocation policies and window-specific tags";
   fprintf
     "The Figure-2 write path (1000 x 4 KiB pwrite through APP->VFSCORE->RAMFS),\n\
@@ -803,8 +805,7 @@ let ablation ?golden ?write_golden () =
       ("rollback journal", "rollback", Minidb.Pager.Rollback);
       ("write-ahead log", "wal", Minidb.Pager.Wal);
     ];
-  golden_gate ~target:"ablation" ~what:"ablation counters" ?golden ?write_golden
-    (List.rev !rows)
+  int_rows (List.rev !rows)
 
 (* --- Bechamel microbenchmarks -------------------------------------------------- *)
 
@@ -924,14 +925,12 @@ let hw_scenario ~name body =
   in
   let wall_ns_on, cycles_on, faults_on, wrpkru_on, hit_rate = run true in
   let wall_ns_off, cycles_off, faults_off, wrpkru_off, _ = run false in
-  if (cycles_on, faults_on, wrpkru_on) <> (cycles_off, faults_off, wrpkru_off) then begin
-    fprintf
+  if (cycles_on, faults_on, wrpkru_on) <> (cycles_off, faults_off, wrpkru_off) then
+    fail
       "FATAL: %s: TLB changed simulated behaviour\n\
       \  on : cycles=%d faults=%d wrpkru=%d\n\
       \  off: cycles=%d faults=%d wrpkru=%d\n"
       name cycles_on faults_on wrpkru_on cycles_off faults_off wrpkru_off;
-    exit 1
-  end;
   {
     hw_name = name;
     wall_ns_on;
@@ -972,36 +971,7 @@ let hw_rows () =
         done);
   ]
 
-let hw_write_json path rows =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "  \"%s.wall_ns\": %.0f,\n\
-        \  \"%s.wall_ns_tlb_off\": %.0f,\n\
-        \  \"%s.simulated_cycles\": %d,\n\
-        \  \"%s.faults\": %d,\n\
-        \  \"%s.wrpkru\": %d,\n\
-        \  \"%s.tlb_hit_rate\": %.4f%s\n"
-        r.hw_name r.wall_ns_on r.hw_name r.wall_ns_off r.hw_name r.hw_cycles r.hw_name
-        r.hw_faults r.hw_name r.hw_wrpkru r.hw_name r.hw_hit_rate
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "}\n";
-  close_out oc
-
-let hw_golden_rows rows =
-  List.concat_map
-    (fun r ->
-      [
-        (r.hw_name ^ ".cycles", r.hw_cycles);
-        (r.hw_name ^ ".faults", r.hw_faults);
-        (r.hw_name ^ ".wrpkru", r.hw_wrpkru);
-      ])
-    rows
-
-let hw ?(out = "BENCH_hw.json") ?golden ?write_golden () =
+let hw _args =
   heading "Software TLB: wall-clock of the simulator (simulated cycles unchanged)";
   let rows = hw_rows () in
   fprintf "%-20s %14s %14s %8s %14s %8s %8s %8s\n" "scenario" "tlb_on(ns)" "tlb_off(ns)"
@@ -1013,10 +983,24 @@ let hw ?(out = "BENCH_hw.json") ?golden ?write_golden () =
         (r.wall_ns_off /. r.wall_ns_on)
         r.hw_cycles r.hw_faults r.hw_wrpkru (100. *. r.hw_hit_rate))
     rows;
-  hw_write_json out rows;
-  fprintf "wrote %s\n" out;
-  golden_gate ~target:"hw" ~what:"simulated cycles" ?golden ?write_golden
-    (hw_golden_rows rows)
+  let keyed f =
+    List.concat_map (fun r -> List.map (fun (k, v) -> (r.hw_name ^ k, v)) (f r)) rows
+  in
+  {
+    file =
+      keyed (fun r ->
+          [
+            (".wall_ns", Printf.sprintf "%.0f" r.wall_ns_on);
+            (".wall_ns_tlb_off", Printf.sprintf "%.0f" r.wall_ns_off);
+            (".simulated_cycles", string_of_int r.hw_cycles);
+            (".faults", string_of_int r.hw_faults);
+            (".wrpkru", string_of_int r.hw_wrpkru);
+            (".tlb_hit_rate", Printf.sprintf "%.4f" r.hw_hit_rate);
+          ]);
+    pinned =
+      keyed (fun r ->
+          [ (".cycles", r.hw_cycles); (".faults", r.hw_faults); (".wrpkru", r.hw_wrpkru) ]);
+  }
 
 (* --- trace: event capture of the Fig. 2 write path -------------------------------- *)
 
@@ -1029,8 +1013,10 @@ let hw ?(out = "BENCH_hw.json") ?golden ?write_golden () =
    incrementally by a bus sink during the run and self-checked
    byte-equal against the ring exporter whenever the ring kept every
    event. *)
-let trace ?(out = "trace.json") ?(folded = "trace.folded") ?(sample = 1) ?(stream = false) ()
-    =
+let trace args =
+  let out = Option.value (arg args "--out") ~default:"trace.json" in
+  let folded = Option.value (arg args "--folded") ~default:"trace.folded" in
+  let sample = int_arg args "--sample" ~default:1 and stream = has args "--stream" in
   heading "Telemetry trace: Fig. 2 write path (1000 x 4 KiB pwrite, full protection)";
   let run ~tracing ~configure =
     let app = Builder.component ~heap_pages:64 ~stack_pages:4 "APP" in
@@ -1079,14 +1065,12 @@ let trace ?(out = "trace.json") ?(folded = "trace.folded") ?(sample = 1) ?(strea
     (if sample > 1 then Printf.sprintf " (sampled 1/%d)" sample else "")
     ^ if stream then " (streamed)" else ""
   in
-  if (c_on, f_on, k_on) <> (c_off, f_off, k_off) then begin
-    fprintf
+  if (c_on, f_on, k_on) <> (c_off, f_off, k_off) then
+    fail
       "FATAL: tracing%s changed simulated behaviour\n\
       \  off: cycles=%d faults=%d wrpkru=%d\n\
       \  on : cycles=%d faults=%d wrpkru=%d\n"
       mode c_off f_off k_off c_on f_on k_on;
-    exit 1
-  end;
   fprintf "tracing%s on/off bit-identical: cycles=%d faults=%d wrpkru=%d\n" mode c_on f_on
     k_on;
   let bus = Monitor.bus mon in
@@ -1096,11 +1080,9 @@ let trace ?(out = "trace.json") ?(folded = "trace.folded") ?(sample = 1) ?(strea
     (Telemetry.Bus.captured bus) (Telemetry.Bus.dropped bus) (Telemetry.Bus.capacity bus)
     (Telemetry.Bus.sampled_out bus)
     (Telemetry.Bus.total_emitted bus);
-  if sample > 1 && Telemetry.Bus.dropped bus > 0 then begin
-    fprintf "FATAL: sampling 1/%d still overflowed the ring (%d drops)\n" sample
+  if sample > 1 && Telemetry.Bus.dropped bus > 0 then
+    fail "FATAL: sampling 1/%d still overflowed the ring (%d drops)\n" sample
       (Telemetry.Bus.dropped bus);
-    exit 1
-  end;
   let write path s =
     let oc = open_out path in
     output_string oc s;
@@ -1111,11 +1093,9 @@ let trace ?(out = "trace.json") ?(folded = "trace.folded") ?(sample = 1) ?(strea
     fprintf "wrote %s (streamed Chrome trace_event JSON, written during the run)\n" out;
     if Telemetry.Bus.dropped bus = 0 then begin
       let ring_json = Telemetry.Export.trace_json ~names ~cycles_per_us entries in
-      if not (String.equal ring_json (Buffer.contents streamed)) then begin
-        fprintf "FATAL: streamed export differs from ring exporter (%d vs %d bytes)\n"
+      if not (String.equal ring_json (Buffer.contents streamed)) then
+        fail "FATAL: streamed export differs from ring exporter (%d vs %d bytes)\n"
           (Buffer.length streamed) (String.length ring_json);
-        exit 1
-      end;
       fprintf "stream byte-match OK: streamed output identical to ring exporter\n"
     end
     else
@@ -1185,14 +1165,15 @@ let weaken_summary (prog : Analysis.Ir.program) ~comp ~sym =
 
 let default_baseline = "bench/analysis_baseline.json"
 
-let analyze ?(out = "ANALYSIS.json") ?baseline ?write_baseline () =
+let analyze args =
+  let out = Option.value (arg args "--out") ~default:"ANALYSIS.json" in
   heading "CubiCheck: static isolation analysis + trace-driven dynamic detectors";
   (* fail closed: without an explicit --baseline, diff against the
      checked-in baseline when present so a regression still exits
      non-zero; only a missing file falls through to zero-tolerance *)
   let baseline =
-    match baseline with
-    | Some _ -> baseline
+    match arg args "--baseline" with
+    | Some _ as baseline -> baseline
     | None -> if Sys.file_exists default_baseline then Some default_baseline else None
   in
   let shipped = ref [] in
@@ -1237,10 +1218,8 @@ let analyze ?(out = "ANALYSIS.json") ?baseline ?write_baseline () =
         let fio = Libos.Fileio.make (Libos.Boot.app_ctx net_sys "NGINX") in
         Libos.Fileio.write_file fio "/index.html" (String.make 16384 'x');
         let r = Httpd.Siege.fetch siege "/index.html" in
-        if r.Httpd.Siege.status <> 200 then begin
-          fprintf "FATAL: analyze workload: GET /index.html returned %d\n" r.Httpd.Siege.status;
-          exit 1
-        end;
+        if r.Httpd.Siege.status <> 200 then
+          fail "FATAL: analyze workload: GET /index.html returned %d\n" r.Httpd.Siege.status;
         ignore (Httpd.Siege.fetch_pipelined siege [ "/index.html"; "/missing.bin" ]))
   in
   record
@@ -1279,12 +1258,10 @@ let analyze ?(out = "ANALYSIS.json") ?baseline ?write_baseline () =
       (fun f -> f.Analysis.Report.key = "summary:write:RAMFS.ramfs_pread")
       (Analysis.Infer.check net_inf stale)
   in
-  if not stale_caught then begin
-    fprintf
+  if not stale_caught then
+    fail
       "\nFATAL: stale-summary self-test: weakening RAMFS.ramfs_pread went uncaught — \
        the inference cross-check is not gating\n";
-    exit 1
-  end;
   fprintf "\nstale-summary self-test OK: a weakened RAMFS.ramfs_pread summary fails the gate\n";
   (* the seeded violations: the analyzer's own regression harness — one
      deliberately broken example per detector, each of which must trip *)
@@ -1312,28 +1289,26 @@ let analyze ?(out = "ANALYSIS.json") ?baseline ?write_baseline () =
        shipped);
   close_out oc;
   fprintf "\nwrote %s\n" out;
-  (match write_baseline with
+  (match arg args "--write-baseline" with
   | Some path ->
-      write_flat_json path (Analysis.Report.baseline_counts shipped);
+      write_flat_json path (render (Analysis.Report.baseline_counts shipped));
       fprintf "wrote baseline (%d key(s)) to %s\n"
         (List.length (Analysis.Report.baseline_counts shipped))
         path
   | None -> ());
-  let fail = ref false in
+  let failed = ref false in
   (match baseline with
   | Some path ->
-      if not (Sys.file_exists path) then begin
-        fprintf
+      if not (Sys.file_exists path) then
+        fail
           "BASELINE MISSING: %s\nGenerate it with:\n\
           \  dune exec bench/main.exe -- analyze --write-baseline %s\n"
           path path;
-        exit 1
-      end;
       let fresh, resolved = Analysis.Report.diff_baseline ~baseline:(read_flat_json path) shipped in
       if fresh <> [] then begin
         fprintf "\nFINDINGS ABOVE BASELINE (%s):\n" path;
         List.iter (fun (k, c) -> fprintf "  %s (x%d)\n" k c) fresh;
-        fail := true
+        failed := true
       end
       else fprintf "\nbaseline check OK: no findings above %s\n" path;
       if resolved <> [] then begin
@@ -1344,13 +1319,13 @@ let analyze ?(out = "ANALYSIS.json") ?baseline ?write_baseline () =
       if shipped <> [] then begin
         fprintf "\n%d finding(s) in the shipped stacks and no --baseline to excuse them\n"
           (List.length shipped);
-        fail := true
+        failed := true
       end);
   if missed <> [] then begin
     fprintf "\nFATAL: %d seeded violation(s) went uncaught\n" (List.length missed);
-    fail := true
+    failed := true
   end;
-  if !fail then exit 1;
+  if !failed then exit 1;
   fprintf
     "\nanalyze OK: shipped stacks hold the window discipline, trace-derived summaries \
      cross-check clean, all %d seeded violations caught\n"
@@ -1368,6 +1343,29 @@ let analyze ?(out = "ANALYSIS.json") ?baseline ?write_baseline () =
    per-core counter) is the N-core machine's elapsed time, and the
    scaling curve is makespan(1) / makespan(N). Everything is simulated
    cycles, so the curve is deterministic and golden-checked in CI. *)
+
+(* Online race gate: the ACL mirror rides the telemetry bus while
+   [serve] runs, judging every foreign access as it happens. Bus sinks
+   are tracing-gated and charge no simulated cycles, so the goldens are
+   unaffected. Exits with the findings table on any violation. *)
+let race_gate mon ~label serve =
+  let bus = Monitor.bus mon in
+  let mirror = Analysis.Replay.create ~name_of:(cubicle_label mon) in
+  Analysis.Replay.seed_from_monitor mirror mon;
+  Telemetry.Bus.clear_ring bus;
+  Telemetry.Bus.set_sink bus (Some (Analysis.Replay.online_sink mirror));
+  Telemetry.Bus.set_tracing bus true;
+  let result = serve () in
+  Telemetry.Bus.set_tracing bus false;
+  Telemetry.Bus.set_sink bus None;
+  (match Analysis.Replay.findings mirror with
+  | [] -> ()
+  | violations ->
+      fprintf "FATAL: %s: online race sink flagged %d violation(s):\n" label
+        (List.length violations);
+      Analysis.Report.print_table Format.std_formatter violations;
+      exit 1);
+  result
 
 let smp_conns = 64
 let smp_file_size = 8192
@@ -1396,84 +1394,63 @@ let smp_run ~ncores =
   let path = Printf.sprintf "/f%d.bin" smp_file_size in
   Libos.Boot.populate sys ~as_app:"NGINX" [ (path, String.make smp_file_size 'x') ];
   let workers = Array.init ncores (fun shard -> Httpd.Server.start ~shard sys) in
-  (* online race gate: the ACL mirror rides the telemetry bus for the
-     whole serving phase, judging every foreign access as it happens.
-     Bus sinks are tracing-gated and charge no simulated cycles, so the
-     golden scaling curve is unaffected. *)
-  let bus = Monitor.bus mon in
-  let mirror = Analysis.Replay.create ~name_of:(cubicle_label mon) in
-  Analysis.Replay.seed_from_monitor mirror mon;
-  Telemetry.Bus.clear_ring bus;
-  Telemetry.Bus.set_sink bus (Some (Analysis.Replay.online_sink mirror));
-  Telemetry.Bus.set_tracing bus true;
   let per_shard = Array.make ncores 0 in
-  for conn = 1 to smp_conns do
-    let ring = conn mod ncores in
-    per_shard.(ring) <- per_shard.(ring) + 1;
-    Libos.Netdev.host_inject ~ring netdev
-      (Libos.Lwip.Frame.encode ~conn ~kind:Libos.Lwip.Frame.Syn ~payload:"" ());
-    Libos.Netdev.host_inject ~ring netdev
-      (Libos.Lwip.Frame.encode ~conn ~kind:Libos.Lwip.Frame.Data
-         ~payload:(Printf.sprintf "GET %s HTTP/1.0\r\nHost: sim\r\n\r\n" path)
-         ())
-  done;
-  (* serving phase: one worker thread per core, pinned to its shard's
-     core (work stealing may still migrate a straggler) *)
-  let bases = Array.init ncores (fun c -> Hw.Cost.core_cycles cost c) in
-  let c0 = Hw.Cost.cycles cost in
-  let nginx = (Libos.Boot.app_ctx sys "NGINX").Monitor.self in
-  let sched = Libos.Sched.create mon in
-  Array.iteri
-    (fun shard w ->
-      ignore
-        (Libos.Sched.spawn ~core:shard sched nginx (fun () ->
-             let stalled = ref 0 in
-             while Httpd.Server.requests_served w < per_shard.(shard) do
-               if Httpd.Server.poll w = 0 then begin
-                 incr stalled;
-                 if !stalled > 100 then
-                   Types.error "smp: worker %d stalled (%d/%d served)" shard
-                     (Httpd.Server.requests_served w)
-                     per_shard.(shard)
-               end
-               else stalled := 0;
-               Libos.Sched.yield ()
-             done)))
-    workers;
-  Libos.Sched.run sched;
+  let bases, c0, sched =
+    race_gate mon ~label:(Printf.sprintf "smp %d cores" ncores) (fun () ->
+        for conn = 1 to smp_conns do
+          let ring = conn mod ncores in
+          per_shard.(ring) <- per_shard.(ring) + 1;
+          Libos.Netdev.host_inject ~ring netdev
+            (Libos.Lwip.Frame.encode ~conn ~kind:Libos.Lwip.Frame.Syn ~payload:"" ());
+          Libos.Netdev.host_inject ~ring netdev
+            (Libos.Lwip.Frame.encode ~conn ~kind:Libos.Lwip.Frame.Data
+               ~payload:(Printf.sprintf "GET %s HTTP/1.0\r\nHost: sim\r\n\r\n" path)
+               ())
+        done;
+        (* serving phase: one worker thread per core, pinned to its
+           shard's core (work stealing may still migrate a straggler) *)
+        let bases = Array.init ncores (fun c -> Hw.Cost.core_cycles cost c) in
+        let c0 = Hw.Cost.cycles cost in
+        let nginx = (Libos.Boot.app_ctx sys "NGINX").Monitor.self in
+        let sched = Libos.Sched.create mon in
+        Array.iteri
+          (fun shard w ->
+            ignore
+              (Libos.Sched.spawn ~core:shard sched nginx (fun () ->
+                   let stalled = ref 0 in
+                   while Httpd.Server.requests_served w < per_shard.(shard) do
+                     if Httpd.Server.poll w = 0 then begin
+                       incr stalled;
+                       if !stalled > 100 then
+                         Types.error "smp: worker %d stalled (%d/%d served)" shard
+                           (Httpd.Server.requests_served w)
+                           per_shard.(shard)
+                     end
+                     else stalled := 0;
+                     Libos.Sched.yield ()
+                   done)))
+          workers;
+        Libos.Sched.run sched;
+        (bases, c0, sched))
+  in
   let deltas = Array.init ncores (fun c -> Hw.Cost.core_cycles cost c - bases.(c)) in
   let total_delta = Hw.Cost.cycles cost - c0 in
-  if Array.fold_left ( + ) 0 deltas <> total_delta then begin
-    fprintf "FATAL: smp %d cores: per-core deltas sum to %d, total delta %d\n" ncores
+  if Array.fold_left ( + ) 0 deltas <> total_delta then
+    fail "FATAL: smp %d cores: per-core deltas sum to %d, total delta %d\n" ncores
       (Array.fold_left ( + ) 0 deltas)
       total_delta;
-    exit 1
-  end;
   (* the telemetry invariant, extended per core: each core plane of the
      attribution table must equal the machine's per-core counter *)
   let attrib = cost.Hw.Cost.attrib in
   for c = 0 to Hw.Cost.ncores cost - 1 do
-    if Telemetry.Attrib.core_total attrib ~core:c <> Hw.Cost.core_cycles cost c then begin
-      fprintf "FATAL: smp %d cores: attrib core %d total %d <> core cycles %d\n" ncores c
+    if Telemetry.Attrib.core_total attrib ~core:c <> Hw.Cost.core_cycles cost c then
+      fail "FATAL: smp %d cores: attrib core %d total %d <> core cycles %d\n" ncores c
         (Telemetry.Attrib.core_total attrib ~core:c)
-        (Hw.Cost.core_cycles cost c);
-      exit 1
-    end
+        (Hw.Cost.core_cycles cost c)
   done;
-  Telemetry.Bus.set_tracing bus false;
-  Telemetry.Bus.set_sink bus None;
-  (match Analysis.Replay.findings mirror with
-  | [] -> ()
-  | violations ->
-      fprintf "FATAL: smp %d cores: online race sink flagged %d violation(s):\n" ncores
-        (List.length violations);
-      Analysis.Report.print_table Format.std_formatter violations;
-      exit 1);
   let served = Array.fold_left (fun acc w -> acc + Httpd.Server.requests_served w) 0 workers in
-  if served <> smp_conns then begin
-    fprintf "FATAL: smp %d cores: served %d of %d requests\n" ncores served smp_conns;
-    exit 1
-  end;
+  if served <> smp_conns then
+    fail "FATAL: smp %d cores: served %d of %d requests\n" ncores served smp_conns;
   (* every connection must have received a complete 200 response *)
   let by_conn = Hashtbl.create smp_conns in
   List.iter
@@ -1500,11 +1477,9 @@ let smp_run ~ncores =
     if
       String.length resp <= smp_file_size
       || not (String.length resp > 12 && String.sub resp 9 3 = "200")
-    then begin
-      fprintf "FATAL: smp %d cores: conn %d got a bad response (%d bytes)\n" ncores conn
-        (String.length resp);
-      exit 1
-    end
+    then
+      fail "FATAL: smp %d cores: conn %d got a bad response (%d bytes)\n" ncores conn
+        (String.length resp)
   done;
   {
     smp_ncores = ncores;
@@ -1533,7 +1508,7 @@ let smp_json_rows rows =
           (Array.mapi (fun c d -> (key (Printf.sprintf "core%d_cycles" c), d)) r.smp_core_deltas))
     rows
 
-let smp ?(out = "BENCH_smp.json") ?golden ?write_golden () =
+let smp _args =
   heading
     (Printf.sprintf "SMP scale-out: %d siege connections over 1/2/4/8 simulated cores"
        smp_conns);
@@ -1556,18 +1531,13 @@ let smp ?(out = "BENCH_smp.json") ?golden ?write_golden () =
       | None -> ()
       | Some r ->
           let x100 = 100 * base / r.smp_makespan in
-          if x100 < floor_x100 then begin
-            fprintf "FATAL: %d-core speedup %d.%02dx below the %d.%02dx floor\n" n
-              (x100 / 100) (x100 mod 100) (floor_x100 / 100) (floor_x100 mod 100);
-            exit 1
-          end)
+          if x100 < floor_x100 then
+            fail "FATAL: %d-core speedup %d.%02dx below the %d.%02dx floor\n" n
+              (x100 / 100) (x100 mod 100) (floor_x100 / 100) (floor_x100 mod 100))
     [ (2, 170); (4, 300) ];
   fprintf "scaling floors OK: >=1.70x at 2 cores, >=3.00x at 4 cores\n";
   fprintf "race sink OK: online window mirror saw zero violations on every soak\n";
-  let json = smp_json_rows rows in
-  write_flat_json out json;
-  fprintf "wrote %s\n" out;
-  golden_gate ~target:"smp" ~what:"scaling curve values" ?golden ?write_golden json
+  int_rows (smp_json_rows rows)
 
 (* --- sendfile: zero-copy vs copy serving -> BENCH_zerocopy.json -------------------- *)
 
@@ -1612,20 +1582,16 @@ let zc_run ~zerocopy =
   let wops0 = Stats.window_ops stats in
   for req = 1 to zc_requests do
     let r = Httpd.Siege.fetch siege path in
-    if r.Httpd.Siege.status <> 200 || r.Httpd.Siege.body <> body then begin
-      fprintf "FATAL: sendfile (%s): request %d got status %d, %d body bytes (want 200, %d)\n"
+    if r.Httpd.Siege.status <> 200 || r.Httpd.Siege.body <> body then
+      fail "FATAL: sendfile (%s): request %d got status %d, %d body bytes (want 200, %d)\n"
         mode req r.Httpd.Siege.status
         (String.length r.Httpd.Siege.body)
-        zc_file_size;
-      exit 1
-    end
+        zc_file_size
   done;
   (* the sum-to-total invariant must hold on the full timeline *)
-  if Telemetry.Attrib.total attrib <> Hw.Cost.cycles cost then begin
-    fprintf "FATAL: sendfile (%s): attribution total %d <> Cost.cycles %d\n" mode
+  if Telemetry.Attrib.total attrib <> Hw.Cost.cycles cost then
+    fail "FATAL: sendfile (%s): attribution total %d <> Cost.cycles %d\n" mode
       (Telemetry.Attrib.total attrib) (Hw.Cost.cycles cost);
-    exit 1
-  end;
   let row =
     {
       zc_mode = mode;
@@ -1639,10 +1605,8 @@ let zc_run ~zerocopy =
     }
   in
   (* and the serving-phase deltas must decompose exactly too *)
-  if List.fold_left (fun acc (_, v) -> acc + v) 0 row.zc_cats <> row.zc_total then begin
-    fprintf "FATAL: sendfile (%s): category deltas do not sum to the cycle delta\n" mode;
-    exit 1
-  end;
+  if List.fold_left (fun acc (_, v) -> acc + v) 0 row.zc_cats <> row.zc_total then
+    fail "FATAL: sendfile (%s): category deltas do not sum to the cycle delta\n" mode;
   row
 
 let zc_json_rows rows =
@@ -1661,7 +1625,7 @@ let zc_json_rows rows =
           r.zc_cats)
     rows
 
-let sendfile ?(out = "BENCH_zerocopy.json") ?golden ?write_golden () =
+let sendfile _args =
   heading
     (Printf.sprintf "Zero-copy sendfile: %d requests for a %d KiB file, copy vs grant-and-forward"
        zc_requests (zc_file_size / 1024));
@@ -1692,19 +1656,13 @@ let sendfile ?(out = "BENCH_zerocopy.json") ?golden ?write_golden () =
   | [ copy; zc ] ->
       let cm = List.assoc Telemetry.Attrib.Memcpy copy.zc_cats in
       let zm = List.assoc Telemetry.Attrib.Memcpy zc.zc_cats in
-      if zm <= 0 || cm < 5 * zm then begin
-        fprintf "FATAL: memcpy cycles/request %d (copy) vs %d (zero-copy): below the 5x floor\n"
+      if zm <= 0 || cm < 5 * zm then
+        fail "FATAL: memcpy cycles/request %d (copy) vs %d (zero-copy): below the 5x floor\n"
           (cm / zc_requests) (zm / zc_requests);
-        exit 1
-      end;
       fprintf "memcpy floor OK: %.1fx fewer data-copy cycles on the zero-copy path\n"
         (float_of_int cm /. float_of_int zm)
   | _ -> ());
-  let json = zc_json_rows rows in
-  write_flat_json out json;
-  fprintf "wrote %s\n" out;
-  golden_gate ~target:"sendfile" ~what:"zero-copy decomposition values" ?golden ?write_golden
-    json
+  int_rows (zc_json_rows rows)
 
 (* --- keys: key virtualisation under multi-tenant pressure -> BENCH_keys.json ------ *)
 
@@ -1746,10 +1704,8 @@ let keys_serve sys ~tenants ~check =
     for i = 1 to tenants do
       let off, len = keys_req ~tenant:i ~round in
       let r = Httpd.Tenant.request sys ~tenant:i ~off ~len in
-      if check && r <> Httpd.Tenant.expected ~tenant:i ~off ~len then begin
-        fprintf "FATAL: keys: tenant %d round %d: response differs from the oracle\n" i round;
-        exit 1
-      end;
+      if check && r <> Httpd.Tenant.expected ~tenant:i ~off ~len then
+        fail "FATAL: keys: tenant %d round %d: response differs from the oracle\n" i round;
       responses := r :: !responses
     done
   done;
@@ -1777,34 +1733,19 @@ let keys_run ~tenants =
   let km =
     match Monitor.keymux mon with
     | Some km -> km
-    | None ->
-        fprintf "FATAL: keys: monitor booted without a key multiplexer\n";
-        exit 1
+    | None -> fail "FATAL: keys: monitor booted without a key multiplexer\n"
   in
   let cubicles = List.length (Monitor.live_cids mon) in
-  (* online race gate over the serving phase, as in the smp bench *)
-  let bus = Monitor.bus mon in
-  let mirror = Analysis.Replay.create ~name_of:(cubicle_label mon) in
-  Analysis.Replay.seed_from_monitor mirror mon;
-  Telemetry.Bus.clear_ring bus;
-  Telemetry.Bus.set_sink bus (Some (Analysis.Replay.online_sink mirror));
-  Telemetry.Bus.set_tracing bus true;
   let st = Hw.Keymux.stats km in
   let c0 = Hw.Cost.cycles cost in
   let f0 = st.Hw.Keymux.fault_ins
   and e0 = st.Hw.Keymux.evictions
   and r0 = st.Hw.Keymux.retag_pages
   and s0 = st.Hw.Keymux.key_shootdowns in
-  let responses = keys_serve sys ~tenants ~check:true in
-  Telemetry.Bus.set_tracing bus false;
-  Telemetry.Bus.set_sink bus None;
-  (match Analysis.Replay.findings mirror with
-  | [] -> ()
-  | violations ->
-      fprintf "FATAL: keys %d tenants: online race sink flagged %d violation(s):\n" tenants
-        (List.length violations);
-      Analysis.Report.print_table Format.std_formatter violations;
-      exit 1);
+  let responses =
+    race_gate mon ~label:(Printf.sprintf "keys %d tenants" tenants) (fun () ->
+        keys_serve sys ~tenants ~check:true)
+  in
   (* whole-run pricing invariant: every cycle in the Keymux category is
      a fault-in, a page retag or a PKRU shootdown at the model's exact
      rates — nothing else may bill the virtualisation layer *)
@@ -1815,14 +1756,12 @@ let keys_run ~tenants =
     + (st.Hw.Keymux.key_shootdowns * model.Hw.Cost.wrpkru)
   in
   let km_total = Telemetry.Attrib.category_total cost.Hw.Cost.attrib Telemetry.Attrib.Keymux in
-  if km_total <> priced then begin
-    fprintf
+  if km_total <> priced then
+    fail
       "FATAL: keys %d tenants: Keymux category %d cycles, but %d fault-ins + %d retags + %d \
        shootdowns price to %d\n"
       tenants km_total st.Hw.Keymux.fault_ins st.Hw.Keymux.retag_pages
       st.Hw.Keymux.key_shootdowns priced;
-    exit 1
-  end;
   (* no-eviction baseline: the same spawn/churn/request schedule with
      protection off must produce byte-identical responses. Virtual keys
      are still allocated (they are unlimited) but with MPK off they are
@@ -1830,10 +1769,8 @@ let keys_run ~tenants =
   let base =
     keys_serve (keys_boot ~protection:Types.None_ ~virtualise:true tenants) ~tenants ~check:false
   in
-  if base <> responses then begin
-    fprintf "FATAL: keys %d tenants: responses differ from the no-protection baseline\n" tenants;
-    exit 1
-  end;
+  if base <> responses then
+    fail "FATAL: keys %d tenants: responses differ from the no-protection baseline\n" tenants;
   {
     k_tenants = tenants;
     k_cubicles = cubicles;
@@ -1861,7 +1798,7 @@ let keys_json_rows rows =
       ])
     rows
 
-let keys ?(out = "BENCH_keys.json") ?golden ?write_golden () =
+let keys _args =
   heading
     (Printf.sprintf
        "Key-pressure: %d..%d tenants (2 cubicles each + gateway) over 14 physical MPK tags"
@@ -1876,124 +1813,165 @@ let keys ?(out = "BENCH_keys.json") ?golden ?write_golden () =
         (r.k_total / r.k_requests) r.k_fault_ins r.k_evictions r.k_retag_pages r.k_shootdowns)
     rows;
   let top = List.nth rows (List.length rows - 1) in
-  if top.k_cubicles < 256 then begin
-    fprintf "FATAL: keys: top step ran %d concurrent cubicles, need >= 256\n" top.k_cubicles;
-    exit 1
-  end;
-  if top.k_evictions <= (List.hd rows).k_evictions then begin
-    fprintf "FATAL: keys: eviction count did not grow with tenant count (%d -> %d)\n"
+  if top.k_cubicles < 256 then
+    fail "FATAL: keys: top step ran %d concurrent cubicles, need >= 256\n" top.k_cubicles;
+  if top.k_evictions <= (List.hd rows).k_evictions then
+    fail "FATAL: keys: eviction count did not grow with tenant count (%d -> %d)\n"
       (List.hd rows).k_evictions top.k_evictions;
-    exit 1
-  end;
   fprintf "scale floor OK: %d concurrent cubicles multiplexed over 14 physical tags\n"
     top.k_cubicles;
   fprintf "byte-identity OK: every response matches the oracle and the no-protection baseline\n";
   fprintf "race sink OK: online window mirror saw zero violations at every step\n";
-  let json = keys_json_rows rows in
-  write_flat_json out json;
-  fprintf "wrote %s\n" out;
-  golden_gate ~target:"keys" ~what:"key-pressure curve values" ?golden ?write_golden json
+  int_rows (keys_json_rows rows)
 
 (* --- driver ---------------------------------------------------------------------- *)
 
-let known_targets =
-  [ "all"; "table2"; "fig5"; "fig6"; "fig7"; "fig8"; "fig10a"; "fig10b"; "ablation"; "micro";
-    "hw"; "smp"; "sendfile"; "keys"; "analyze"; "trace" ]
+(* The value a flag takes: none, an integer >= 1, or a file. *)
+type kind = Bool | Int | Path
 
-let value_flags =
-  [ "--out"; "--golden"; "--write-golden"; "--folded"; "--sample"; "--n"; "--repeats";
-    "--lat-out"; "--baseline"; "--write-baseline" ]
+(* A gated target's rows go to its output file, if it has one (--out
+   overrides the default), and to --golden / --write-golden. *)
+type gate = {
+  out : string option;
+  what : string;  (* names the pinned values *)
+  rows : args -> rows;
+}
 
-let bool_flags = [ "--attrib"; "--latency"; "--stream"; "--hdr" ]
+type action = Run of (args -> unit) | Gate of gate
 
-(* A mistyped target or a flag that lost its value must not run a
-   gate without its check and still exit 0. *)
+type target = {
+  name : string;
+  doc : string;
+  flags : (string * kind) list;
+  in_all : bool;
+  action : action;
+}
+
+(* A gate also reads --golden, --write-golden and, with an output
+   file, --out. *)
+let target ?(flags = []) ?(in_all = true) name doc action =
+  let gate_flags =
+    match action with
+    | Run _ -> []
+    | Gate g ->
+        (if g.out = None then [] else [ ("--out", Path) ])
+        @ [ ("--golden", Path); ("--write-golden", Path) ]
+  in
+  { name; doc; flags = flags @ gate_flags; in_all; action }
+
+let gate ?out what rows = Gate { out; what; rows }
+
+(* Table order is run order. *)
+let targets =
+  [
+    target "table2" "Table 2: component sizes" (Run (fun _ -> table2 ()));
+    target "fig5" "Figure 5: NGINX cubicle call graph" (Run (fun _ -> fig5 ()));
+    target "fig6" "Figure 6: speedtest1 query times, 4 protection levels"
+      ~flags:
+        [ ("--n", Int); ("--attrib", Bool); ("--latency", Bool); ("--hdr", Bool); ("--lat-out", Path) ]
+      (gate "per-edge latency percentiles" fig6);
+    target "fig7" "Figure 7: NGINX download latency vs transfer size"
+      ~flags:[ ("--repeats", Int); ("--latency", Bool); ("--lat-out", Path) ]
+      (Run fig7);
+    target "fig8" "Figure 8: SQLite cubicle call graph" (Run (fun _ -> fig8 ()));
+    target "fig10a" "Figure 10a: slowdown vs Linux"
+      ~flags:[ ("--n", Int); ("--latency", Bool) ] (Run fig10a);
+    target "fig10b" "Figure 10b: 4- vs 3-component slowdown"
+      ~flags:[ ("--n", Int); ("--latency", Bool) ] (Run fig10b);
+    target "ablation" "window policies, window tags, tag churn, journal modes"
+      (gate "ablation counters" ablation);
+    target "micro" "Bechamel wall-clock of the simulator" (Run (fun _ -> micro ()));
+    target "hw" "software TLB on vs off" (gate ~out:"BENCH_hw.json" "simulated cycles" hw);
+    target "smp" "1/2/4/8-core scaling curve"
+      (gate ~out:"BENCH_smp.json" "scaling curve values" smp);
+    target "sendfile" "zero-copy vs copy serving"
+      (gate ~out:"BENCH_zerocopy.json" "zero-copy decomposition values" sendfile);
+    target "keys" "key virtualisation, 8..256 tenants"
+      (gate ~out:"BENCH_keys.json" "key-pressure curve values" keys);
+    target "analyze" "CubiCheck isolation analysis"
+      ~flags:[ ("--out", Path); ("--baseline", Path); ("--write-baseline", Path) ]
+      (Run analyze);
+    target "trace" "traced Fig. 2 write path" ~in_all:false
+      ~flags:[ ("--out", Path); ("--folded", Path); ("--sample", Int); ("--stream", Bool) ]
+      (Run trace);
+  ]
+
+let known_targets = "all" :: List.map (fun t -> t.name) targets
+let known_flags = List.concat_map (fun t -> t.flags) targets
+
+(* These reach only the targets named on the command line: with every
+   target running, a bare --out must not redirect whichever target
+   happens to read it. *)
+let named_only = [ "--out"; "--golden"; "--write-golden" ]
+
+(* A mistyped target, or a flag that lost its value or that no running
+   target reads, must not run a gate without its check and exit 0. *)
 let usage fmt =
   Printf.ksprintf
     (fun msg ->
       Printf.eprintf "bench: %s\nusage: main.exe [TARGET...] [FLAG...]\n" msg;
-      Printf.eprintf "  targets: %s\n" (String.concat " " known_targets);
-      Printf.eprintf "  flags with a value: %s\n" (String.concat " " value_flags);
-      Printf.eprintf "  boolean flags: %s\n" (String.concat " " bool_flags);
+      Printf.eprintf "  no TARGET, or all, runs every target but trace\n";
+      let shown = function f, Bool -> f | f, Int -> f ^ " N" | f, Path -> f ^ " FILE" in
+      List.iter
+        (fun t ->
+          Printf.eprintf "  %-9s %s%s\n" t.name t.doc
+            (String.concat "" (List.map (fun f -> " [" ^ shown f ^ "]") t.flags)))
+        targets;
+      Printf.eprintf "  %s reach only the targets named\n" (String.concat ", " named_only);
       exit 2)
     fmt
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
   let is_flag s = String.starts_with ~prefix:"--" s in
   (* boolean flags are matched first so they never swallow the
      following token *)
-  let rec split_flags targets flags = function
-    | [] -> (List.rev targets, List.rev flags)
-    | flag :: rest when List.mem flag bool_flags ->
-        split_flags targets ((flag, "true") :: flags) rest
-    | flag :: value :: rest when List.mem flag value_flags && not (is_flag value) ->
-        split_flags targets ((flag, value) :: flags) rest
-    | flag :: _ when List.mem flag value_flags -> usage "%s needs a value" flag
-    | flag :: _ when is_flag flag -> usage "unknown flag %s" flag
-    | t :: rest when List.mem t known_targets -> split_flags (t :: targets) flags rest
+  let rec split_flags named flags = function
+    | [] -> (List.rev named, List.rev flags)
+    | f :: rest when List.assoc_opt f known_flags = Some Bool ->
+        split_flags named ((f, "true") :: flags) rest
+    | f :: v :: rest when List.mem_assoc f known_flags && not (is_flag v) ->
+        let positive = match int_of_string_opt v with Some n -> n >= 1 | None -> false in
+        if List.assoc f known_flags = Int && not positive then
+          usage "%s needs a positive integer, got %s" f v;
+        split_flags named ((f, v) :: flags) rest
+    | f :: _ when List.mem_assoc f known_flags -> usage "%s needs a value" f
+    | f :: _ when is_flag f -> usage "unknown flag %s" f
+    | t :: rest when List.mem t known_targets -> split_flags (t :: named) flags rest
     | t :: _ -> usage "unknown target %s" t
   in
-  let targets, flags = split_flags [] [] args in
-  let all = targets = [] || targets = [ "all" ] in
-  let want name = all || List.mem name targets in
-  let bool_flag name = List.mem_assoc name flags in
-  let int_flag name = Option.map int_of_string (List.assoc_opt name flags) in
-  (* --out, --golden and --write-golden belong to the targets named on
-     the command line: with every target running, a bare --out must not
-     redirect whichever target happens to read it. *)
-  let target_flag target name =
-    if List.mem target targets then List.assoc_opt name flags else None
+  let named, flags = split_flags [] [] (List.tl (Array.to_list Sys.argv)) in
+  let all = named = [] || List.mem "all" named in
+  let running = List.filter (fun t -> List.mem t.name named || (all && t.in_all)) targets in
+  let reaches t (f, _) =
+    List.mem_assoc f t.flags && (List.mem t.name named || not (List.mem f named_only))
   in
+  List.iter
+    (fun ((f, _) as flag) ->
+      if not (List.exists (fun t -> reaches t flag) running) then
+        if List.mem f named_only then usage "no target named reads %s" f
+        else usage "no running target reads %s" f)
+    flags;
   let t0 = Unix.gettimeofday () in
-  if want "table2" then table2 ();
-  if want "fig5" then fig5 ();
-  if want "fig6" then
-    fig6 ?n:(int_flag "--n") ~attrib:(bool_flag "--attrib") ~latency:(bool_flag "--latency")
-      ~hdr:(bool_flag "--hdr")
-      ?lat_out:(List.assoc_opt "--lat-out" flags)
-      ?golden:(target_flag "fig6" "--golden")
-      ?write_golden:(target_flag "fig6" "--write-golden")
-      ();
-  if want "fig7" then
-    fig7 ?repeats:(int_flag "--repeats") ~latency:(bool_flag "--latency")
-      ?lat_out:(List.assoc_opt "--lat-out" flags)
-      ();
-  if want "fig8" then fig8 ();
-  if want "fig10a" then fig10a ?n:(int_flag "--n") ~latency:(bool_flag "--latency") ();
-  if want "fig10b" then fig10b ?n:(int_flag "--n") ~latency:(bool_flag "--latency") ();
-  if want "ablation" then
-    ablation ?golden:(target_flag "ablation" "--golden")
-      ?write_golden:(target_flag "ablation" "--write-golden")
-      ();
-  if want "micro" then micro ();
-  if want "hw" then
-    hw ?out:(target_flag "hw" "--out") ?golden:(target_flag "hw" "--golden")
-      ?write_golden:(target_flag "hw" "--write-golden")
-      ();
-  if want "smp" then
-    smp ?out:(target_flag "smp" "--out") ?golden:(target_flag "smp" "--golden")
-      ?write_golden:(target_flag "smp" "--write-golden")
-      ();
-  if want "sendfile" then
-    sendfile ?out:(target_flag "sendfile" "--out") ?golden:(target_flag "sendfile" "--golden")
-      ?write_golden:(target_flag "sendfile" "--write-golden")
-      ();
-  if want "keys" then
-    keys ?out:(target_flag "keys" "--out") ?golden:(target_flag "keys" "--golden")
-      ?write_golden:(target_flag "keys" "--write-golden")
-      ();
-  if want "analyze" then
-    analyze
-      ?out:(target_flag "analyze" "--out")
-      ?baseline:(List.assoc_opt "--baseline" flags)
-      ?write_baseline:(List.assoc_opt "--write-baseline" flags)
-      ();
-  if List.mem "trace" targets then
-    trace
-      ?out:(target_flag "trace" "--out")
-      ?folded:(List.assoc_opt "--folded" flags)
-      ?sample:(int_flag "--sample")
-      ~stream:(bool_flag "--stream")
-      ();
+  List.iter
+    (fun t ->
+      let args = List.filter (reaches t) flags in
+      match t.action with
+      | Run run -> run args
+      | Gate g ->
+          let rows = g.rows args in
+          Option.iter
+            (fun default ->
+              let path = Option.value (arg args "--out") ~default in
+              write_flat_json path rows.file;
+              fprintf "wrote %s\n" path)
+            g.out;
+          Option.iter
+            (fun path ->
+              write_flat_json path (render rows.pinned);
+              fprintf "wrote golden %s to %s\n" g.what path)
+            (arg args "--write-golden");
+          Option.iter
+            (fun path -> check_golden ~what:g.what path rows.pinned)
+            (arg args "--golden"))
+    running;
   fprintf "\n[bench completed in %.1f s wall clock]\n" (Unix.gettimeofday () -. t0)
